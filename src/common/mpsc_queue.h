@@ -9,7 +9,7 @@
 // FIFO is global: items pop in exactly the order pushes acquired the lock.
 // With a single producer thread — the pipeline's configuration — that is the
 // producer's program order, which is what makes pipelined ingestion bitwise
-// identical to serial ingestion.
+// identical to inline ingestion.
 #pragma once
 
 #include <condition_variable>

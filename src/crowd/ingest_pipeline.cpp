@@ -9,7 +9,6 @@ IngestPipeline::IngestPipeline(IngestPipelineConfig config) : config_(config) {
                "IngestPipeline: queue_capacity must be positive");
   DPTD_REQUIRE(config_.max_batch > 0,
                "IngestPipeline: max_batch must be positive");
-  if (config_.num_workers == 0) config_.num_workers = 1;
 }
 
 IngestPipeline::~IngestPipeline() { stop_workers(); }
@@ -39,9 +38,6 @@ void IngestPipeline::begin_round(const data::ShardPlan& plan,
   }
 
   plan_ = plan;
-  num_objects_ = num_objects;
-  round_ = round;
-  labels_ = labels;
   worker_of_shard_.resize(num_shards);
   for (std::size_t w = 0; w < num_workers; ++w) {
     Worker& worker = *workers_[w];
@@ -55,14 +51,8 @@ void IngestPipeline::begin_round(const data::ShardPlan& plan,
     worker.distinct.store(0, std::memory_order_relaxed);
   }
   for (std::size_t s = 0; s < num_shards; ++s) {
-    ShardState& shard = shards_[s];
-    if (shard.builder == nullptr) {
-      shard.builder = std::make_unique<data::ObservationMatrixBuilder>(
-          plan_.shard_num_users(s), num_objects_);
-    } else {
-      shard.builder->reshape(plan_.shard_num_users(s), num_objects_);
-    }
-    shard.stats = ShardIngestStats{};
+    shards_[s].begin_round(plan_.shard_num_users(s), num_objects,
+                           plan_.user_begin(s), round, labels);
   }
   for (std::size_t w = 0; w < num_workers; ++w) {
     if (!workers_[w]->thread.joinable()) {
@@ -93,6 +83,10 @@ void IngestPipeline::submit_view(std::size_t row,
 void IngestPipeline::enqueue(std::size_t row, Item item) {
   item.shard = plan_.shard_of_user(row);
   item.local_user = row - plan_.user_begin(item.shard);
+  if (workers_.empty()) {
+    shards_[item.shard].ingest(item.local_user, item.view, item.is_label);
+    return;
+  }
   Worker& worker = *workers_[worker_of_shard_[item.shard]];
   // push() blocks on backpressure; it can refuse only when the queue was
   // closed (shutdown racing a submit — a caller bug). Failing loudly here
@@ -104,6 +98,7 @@ void IngestPipeline::enqueue(std::size_t row, Item item) {
 }
 
 void IngestPipeline::drain() {
+  if (workers_.empty()) return;  // inline mode: nothing is ever in flight
   // seq_cst choreography against the worker's post-batch sequence
   // (processed.store; draining_.load): if the worker's final store is not
   // yet visible to the predicate below, the worker's subsequent draining_
@@ -127,6 +122,12 @@ void IngestPipeline::drain() {
 
 std::size_t IngestPipeline::distinct_reporters() const {
   std::size_t total = 0;
+  if (workers_.empty()) {  // inline mode: the shard counters are exact
+    for (const ShardIngestor& shard : shards_) {
+      total += shard.stats().reports_received;
+    }
+    return total;
+  }
   for (const auto& worker : workers_) {
     total += worker->distinct.load(std::memory_order_relaxed);
   }
@@ -136,7 +137,7 @@ std::size_t IngestPipeline::distinct_reporters() const {
 std::vector<ShardIngestStats> IngestPipeline::shard_stats() const {
   std::vector<ShardIngestStats> stats;
   stats.reserve(shards_.size());
-  for (const ShardState& shard : shards_) stats.push_back(shard.stats);
+  for (const ShardIngestor& shard : shards_) stats.push_back(shard.stats());
   return stats;
 }
 
@@ -144,9 +145,7 @@ std::vector<data::ObservationMatrix> IngestPipeline::finalize_shards() {
   drain();
   std::vector<data::ObservationMatrix> matrices;
   matrices.reserve(shards_.size());
-  for (ShardState& shard : shards_) {
-    matrices.push_back(shard.builder->finalize());
-  }
+  for (ShardIngestor& shard : shards_) matrices.push_back(shard.finalize());
   return matrices;
 }
 
@@ -157,7 +156,16 @@ void IngestPipeline::worker_loop(Worker& worker) {
     batch.clear();
     const std::size_t n = worker.queue.wait_pop_batch(batch, config_.max_batch);
     if (n == 0) return;  // closed and empty: shutdown
-    for (Item& item : batch) process_item(worker, item);
+    std::size_t distinct = 0;
+    for (const Item& item : batch) {
+      distinct += shards_[item.shard].ingest(item.local_user, item.view,
+                                             item.is_label);
+    }
+    // Uncontended mirror for the coordinator's early-close poll; its own
+    // cache line, written only by this worker.
+    worker.distinct.store(
+        worker.distinct.load(std::memory_order_relaxed) + distinct,
+        std::memory_order_relaxed);
     worker.processed.store(
         worker.processed.load(std::memory_order_relaxed) + n,
         std::memory_order_seq_cst);
@@ -168,56 +176,6 @@ void IngestPipeline::worker_loop(Worker& worker) {
       drain_cv_.notify_all();
     }
   }
-}
-
-void IngestPipeline::process_item(Worker& worker, Item& item) {
-  ShardState& shard = shards_[item.shard];
-  data::ObservationMatrixBuilder& builder = *shard.builder;
-  if (item.is_label) {
-    LabelReport report;
-    try {
-      report = LabelReport::decode(item.view);
-    } catch (const DecodeError&) {
-      ++shard.stats.rejected_reports;
-      return;
-    }
-    if (builder.has_row(item.local_user)) {
-      ++shard.stats.duplicates_ignored;
-      return;
-    }
-    // Label-range validation and the policy's k-RR sampling run here, on the
-    // worker that owns the shard — never on the network thread. The stream is
-    // keyed by the GLOBAL row, so the bits match serial ingestion exactly.
-    const std::size_t global_user =
-        plan_.user_begin(item.shard) + item.local_user;
-    const LabelIngestOutcome outcome =
-        ingest_label_claims(builder, item.local_user, global_user, report,
-                            num_objects_, labels_, round_);
-    if (outcome.malformed) ++shard.stats.malformed_reports;
-    shard.stats.invalid_labels += outcome.invalid_labels;
-  } else {
-    Report report;
-    try {
-      report = Report::decode(item.view);
-    } catch (const DecodeError&) {
-      // The header peeked fine (it routed here) but the claim arrays are
-      // garbage: count it on the owning shard, exactly once.
-      ++shard.stats.rejected_reports;
-      return;
-    }
-    if (builder.has_row(item.local_user)) {
-      ++shard.stats.duplicates_ignored;
-      return;
-    }
-    if (ingest_report_claims(builder, item.local_user, report, num_objects_)) {
-      ++shard.stats.malformed_reports;
-    }
-  }
-  ++shard.stats.reports_received;
-  // Uncontended mirror for the coordinator's early-close poll; its own cache
-  // line, written only by this worker.
-  worker.distinct.store(worker.distinct.load(std::memory_order_relaxed) + 1,
-                        std::memory_order_relaxed);
 }
 
 void IngestPipeline::stop_workers() {

@@ -23,13 +23,13 @@ struct SessionConfig {
   double collection_window_seconds = 30.0;
   double mean_think_time_seconds = 0.5;
 
-  /// Ingestion/aggregation shards (> 1 selects crowd::ShardedServer; results
-  /// are bitwise identical for every value at equal stats_block_size).
+  /// Ingestion/aggregation shards of the crowd::ShardedServer (results are
+  /// bitwise identical for every value at equal stats_block_size).
   std::size_t num_shards = 1;
   /// Canonical sufficient-statistics block size for the sharded path.
   std::size_t stats_block_size = data::kDefaultStatsBlockSize;
-  /// Parallel ingestion workers (see ServerConfig::ingest_threads): 0 keeps
-  /// ingestion synchronous; N >= 1 pipelines decode/dedup/append across
+  /// Parallel ingestion workers (see ServerConfig::ingest_threads): 0 ingests
+  /// inline on the network thread; N >= 1 pipelines decode/dedup/append across
   /// min(N, num_shards) worker threads. Results are bitwise identical for
   /// every value.
   std::size_t ingest_threads = 0;

@@ -55,10 +55,8 @@ void ShardNode::reset_round_state() {
   round_ = 0;
   num_objects_ = 0;
   num_labels_ = 0;
-  user_base_ = 0;
   index_.build({});
-  builder_.reset();
-  ingest_stats_ = {};
+  ingestor_.reset();
   view_.reset();
   matrix_.reset();
   weights_.clear();
@@ -81,10 +79,10 @@ void ShardNode::reset_round_state() {
 void ShardNode::on_message(const net::Message& message) {
   switch (static_cast<crowd::MessageType>(message.type)) {
     case crowd::MessageType::kReport:
-      handle_report(message);
+      handle_report(message, /*is_label=*/false);
       return;
     case crowd::MessageType::kLabelReport:
-      handle_label_report(message);
+      handle_report(message, /*is_label=*/true);
       return;
     case crowd::MessageType::kShardRequest:
       handle_request(message);
@@ -97,79 +95,25 @@ void ShardNode::on_message(const net::Message& message) {
   }
 }
 
-void ShardNode::handle_report(const net::Message& message) {
-  if (!round_open_ || !builder_.has_value()) {
-    ++ingest_stats_.rejected_reports;  // round closed (or never set up)
-    return;
+void ShardNode::handle_report(const net::Message& message, bool is_label) {
+  // Every report turned away here counts as exactly one rejected report:
+  // round closed (or never set up), wrong kind for the round, undecodable
+  // header, another round's straggler, or a user outside this shard's roster
+  // slice. A corrupt body is rejected by the ingestor.
+  const bool categorical_round = num_labels_ >= 2;
+  std::optional<std::size_t> row;
+  if (round_open_ && is_label == categorical_round) {
+    const std::optional<crowd::ReportHeader> header =
+        crowd::Report::peek_header(message.payload);
+    if (header.has_value() && header->round == round_) {
+      row = index_.row_of(header->user_id);
+    }
   }
-  if (num_labels_ >= 2) {
-    ++ingest_stats_.rejected_reports;  // continuous upload, categorical round
-    return;
-  }
-  crowd::Report report;
-  try {
-    report = crowd::Report::decode(message.payload);
-  } catch (const DecodeError&) {
-    ++ingest_stats_.rejected_reports;
-    return;
-  }
-  if (report.round != round_) {
-    ++ingest_stats_.rejected_reports;  // late straggler from another round
-    return;
-  }
-  const std::optional<std::size_t> row = index_.row_of(report.user_id);
   if (!row.has_value()) {
-    ++ingest_stats_.rejected_reports;  // not in this shard's roster slice
+    ingestor_.reject();
     return;
   }
-  if (builder_->has_row(*row)) {
-    ++ingest_stats_.duplicates_ignored;
-    return;
-  }
-  if (crowd::ingest_report_claims(*builder_, *row, report, num_objects_)) {
-    ++ingest_stats_.malformed_reports;
-  }
-  ++ingest_stats_.reports_received;
-}
-
-void ShardNode::handle_label_report(const net::Message& message) {
-  if (!round_open_ || !builder_.has_value()) {
-    ++ingest_stats_.rejected_reports;  // round closed (or never set up)
-    return;
-  }
-  if (num_labels_ < 2) {
-    ++ingest_stats_.rejected_reports;  // label upload, continuous round
-    return;
-  }
-  crowd::LabelReport report;
-  try {
-    report = crowd::LabelReport::decode(message.payload);
-  } catch (const DecodeError&) {
-    ++ingest_stats_.rejected_reports;
-    return;
-  }
-  if (report.round != round_) {
-    ++ingest_stats_.rejected_reports;  // late straggler from another round
-    return;
-  }
-  const std::optional<std::size_t> row = index_.row_of(report.user_id);
-  if (!row.has_value()) {
-    ++ingest_stats_.rejected_reports;  // not in this shard's roster slice
-    return;
-  }
-  if (builder_->has_row(*row)) {
-    ++ingest_stats_.duplicates_ignored;
-    return;
-  }
-  // LDP stays on the device in the distributed deployment: the policy only
-  // carries the alphabet for range validation, never a sampling probability.
-  crowd::LabelIngestPolicy policy;
-  policy.num_labels = num_labels_;
-  const crowd::LabelIngestOutcome outcome = crowd::ingest_label_claims(
-      *builder_, *row, user_base_ + *row, report, num_objects_, policy, round_);
-  if (outcome.malformed) ++ingest_stats_.malformed_reports;
-  ingest_stats_.invalid_labels += outcome.invalid_labels;
-  ++ingest_stats_.reports_received;
+  ingestor_.ingest(*row, message.payload, is_label);
 }
 
 void ShardNode::handle_request(const net::Message& message) {
@@ -259,16 +203,16 @@ std::vector<std::uint8_t> ShardNode::execute(
       num_objects_ = static_cast<std::size_t>(setup.num_objects);
       block_size_ = static_cast<std::size_t>(setup.block_size);
       num_labels_ = static_cast<std::size_t>(setup.num_labels);
-      user_base_ =
-          plan.user_begin(static_cast<std::size_t>(setup.shard_index));
       index_.build(setup.participants);
-      const std::size_t local_users = setup.participants.size();
-      if (builder_.has_value()) {
-        builder_->reshape(local_users, num_objects_);
-      } else {
-        builder_.emplace(local_users, num_objects_);
-      }
-      ingest_stats_ = {};
+      // LDP stays on the device in the distributed deployment: the policy
+      // only carries the alphabet for range validation, never a sampling
+      // probability.
+      crowd::LabelIngestPolicy labels;
+      labels.num_labels = num_labels_;
+      ingestor_.begin_round(
+          setup.participants.size(), num_objects_,
+          plan.user_begin(static_cast<std::size_t>(setup.shard_index)),
+          round_, labels);
       view_.reset();
       matrix_.reset();
       weights_.clear();
@@ -284,15 +228,15 @@ std::vector<std::uint8_t> ShardNode::execute(
       // Idempotent: a degraded close retries the finalize phase over the
       // surviving shards under fresh op ids after abandoning the first
       // attempt, so a shard that already finalized must re-serve the summary
-      // from its finalized matrix — re-running builder_->finalize() would
+      // from its finalized matrix — re-running ingestor_.finalize() would
       // move the ingested rows out and destroy the round's data.
       if (!matrix_.has_value()) {
-        if (!builder_.has_value()) throw DecodeError("shard: no open round");
+        if (!ingestor_.armed()) throw DecodeError("shard: no open round");
         round_open_ = false;
-        const std::size_t local_users = builder_->num_users();
         view_.reset();
         label_view_.reset();
-        matrix_ = builder_->finalize();
+        matrix_ = ingestor_.finalize();
+        const std::size_t local_users = matrix_->num_users();
         view_.emplace(data::ShardedMatrix::single(*matrix_, block_size_));
         weights_.assign(local_users, 1.0);
         losses_.assign(local_users, 0.0);
@@ -300,12 +244,13 @@ std::vector<std::uint8_t> ShardNode::execute(
         chi2_.assign(local_users, 0.0);
         disagreement_.assign(local_users, 0.0);
       }
+      const crowd::ShardIngestStats& stats = ingestor_.stats();
       IngestSummaryBody summary;
-      summary.reports_received = ingest_stats_.reports_received;
-      summary.duplicates_ignored = ingest_stats_.duplicates_ignored;
-      summary.malformed_reports = ingest_stats_.malformed_reports;
-      summary.rejected_reports = ingest_stats_.rejected_reports;
-      summary.invalid_labels = ingest_stats_.invalid_labels;
+      summary.reports_received = stats.reports_received;
+      summary.duplicates_ignored = stats.duplicates_ignored;
+      summary.malformed_reports = stats.malformed_reports;
+      summary.rejected_reports = stats.rejected_reports;
+      summary.invalid_labels = stats.invalid_labels;
       summary.object_counts.resize(num_objects_);
       matrix_->ensure_object_index();
       for (std::size_t n = 0; n < num_objects_; ++n) {

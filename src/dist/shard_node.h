@@ -1,7 +1,8 @@
 // One shard of the distributed truth-discovery deployment: a net::Node that
-// owns its user range's streaming ingestion builder and answers the
-// coordinator's sufficient-statistics RPCs (dist/stats_wire.h) by running the
-// exact shard-side kernels the in-process run_sharded uses. Because its local
+// ingests its user range's reports through a crowd::ShardIngestor (the same
+// ingest core as the in-process server) and answers the coordinator's
+// sufficient-statistics RPCs (dist/stats_wire.h) by running the exact
+// shard-side kernels the in-process run_sharded uses. Because its local
 // user range is block-aligned, every chained fold it continues reproduces the
 // global fold's bits (see stats_wire.h for the full argument).
 //
@@ -28,7 +29,7 @@
 #include "categorical/label_sharding.h"
 #include "crowd/protocol.h"
 #include "crowd/server.h"
-#include "data/builder.h"
+#include "crowd/shard_ingestor.h"
 #include "data/sharding.h"
 #include "dist/stats_wire.h"
 #include "net/transport.h"
@@ -84,8 +85,7 @@ class ShardNode final : public net::Node {
   bool shutdown_requested() const { return shutdown_requested_; }
 
  private:
-  void handle_report(const net::Message& message);
-  void handle_label_report(const net::Message& message);
+  void handle_report(const net::Message& message, bool is_label);
   void handle_request(const net::Message& message);
   /// Executes one decoded request; returns the response body.
   std::vector<std::uint8_t> execute(ShardOp op,
@@ -104,10 +104,8 @@ class ShardNode final : public net::Node {
   std::size_t num_objects_ = 0;
   std::size_t block_size_ = data::kDefaultStatsBlockSize;
   std::size_t num_labels_ = 0;  ///< >= 2 in a categorical round, else 0
-  std::size_t user_base_ = 0;   ///< global user id of local row 0
   crowd::ParticipantIndex index_;  ///< stable id -> local row, roster slice
-  std::optional<data::ObservationMatrixBuilder> builder_;
-  crowd::ShardIngestStats ingest_stats_;
+  crowd::ShardIngestor ingestor_;  ///< armed by kSetup
   std::optional<data::ObservationMatrix> matrix_;   ///< finalized local rows
   std::optional<data::ShardedMatrix> view_;         ///< borrows matrix_
 

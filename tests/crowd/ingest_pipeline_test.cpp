@@ -1,8 +1,9 @@
-// IngestPipeline edge cases and the tentpole determinism guarantee:
-// serial-vs-pipelined (and 1-vs-K-worker) finalized matrices are bitwise
-// identical, duplicate re-sends racing across batches count exactly once,
-// round close drains non-empty queues, and byzantine/malformed reports are
-// counted exactly once on the owning shard.
+// IngestPipeline edge cases and the determinism guarantee: finalized
+// matrices are bitwise identical to a serial reference for every worker
+// count, including the inline (zero-worker) mode; duplicate re-sends racing
+// across batches count exactly once; round close drains non-empty queues;
+// and byzantine/malformed reports are counted exactly once on the owning
+// shard.
 #include "crowd/ingest_pipeline.h"
 
 #include <gtest/gtest.h>
@@ -102,7 +103,7 @@ TEST(IngestPipeline, MatchesSerialIngestionBitwiseForEveryWorkerCount) {
   const std::vector<data::ObservationMatrix> reference =
       serial_reference(plan, kObjects, rows, payloads);
 
-  for (const std::size_t workers : {1u, 2u, 3u, 4u, 7u}) {
+  for (const std::size_t workers : {0u, 1u, 2u, 3u, 4u, 7u}) {
     IngestPipelineConfig config;
     config.num_workers = workers;
     config.queue_capacity = 16;  // small ring: exercises backpressure
@@ -307,7 +308,7 @@ TEST(IngestPipeline, ShardedServerSerialVsPipelinedBitwise) {
   // synchronous ingestion and through the pipelined path (several worker
   // counts) publishes bitwise-identical truths, weights, and counters.
   const RoundOutcome serial = run_sharded_round(0, 40, 3, 4);
-  for (const std::size_t workers : {1u, 2u, 4u}) {
+  for (const std::size_t workers : {0u, 1u, 2u, 4u}) {
     const RoundOutcome pipelined = run_sharded_round(workers, 40, 3, 4);
     EXPECT_EQ(serial.reports_received, pipelined.reports_received) << workers;
     EXPECT_EQ(serial.duplicates_ignored, pipelined.duplicates_ignored)

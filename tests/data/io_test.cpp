@@ -3,10 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <sstream>
 
 #include "data/synthetic.h"
+#include "testing/temp_dir.h"
 
 namespace dptd::data {
 namespace {
@@ -80,10 +80,9 @@ TEST(DataIo, RejectsEmptyFile) {
 }
 
 TEST(DataIo, FileRoundTrip) {
-  const auto dir = std::filesystem::temp_directory_path() / "dptd_io_test";
-  std::filesystem::create_directories(dir);
-  const std::string obs_path = (dir / "obs.csv").string();
-  const std::string truth_path = (dir / "truth.csv").string();
+  const dptd::testing::TempDir dir("dptd_io_test");
+  const std::string obs_path = dir.file("obs.csv");
+  const std::string truth_path = dir.file("truth.csv");
 
   SyntheticConfig config;
   config.num_users = 8;
@@ -97,7 +96,6 @@ TEST(DataIo, FileRoundTrip) {
   for (std::size_t n = 0; n < loaded.ground_truth.size(); ++n) {
     EXPECT_DOUBLE_EQ(loaded.ground_truth[n], dataset.ground_truth[n]);
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(DataIo, LoadMissingFileThrows) {

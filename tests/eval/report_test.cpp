@@ -4,26 +4,18 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "common/csv.h"
+#include "testing/temp_dir.h"
 
 namespace dptd::eval {
 namespace {
 
 class ReportFiles : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "dptd_report_test";
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  std::string path(const std::string& name) const {
-    return (dir_ / name).string();
-  }
+  std::string path(const std::string& name) const { return dir_.file(name); }
 
   static std::vector<std::vector<std::string>> read_csv(
       const std::string& file) {
@@ -32,7 +24,7 @@ class ReportFiles : public ::testing::Test {
     return CsvReader::parse(in);
   }
 
-  std::filesystem::path dir_;
+  dptd::testing::TempDir dir_{"dptd_report_test"};
 };
 
 TradeoffResult small_tradeoff() {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 #include <sstream>
 
 #include "core/accountant.h"
@@ -15,6 +14,7 @@
 #include "data/synthetic.h"
 #include "eval/metrics.h"
 #include "floorplan/walker.h"
+#include "testing/temp_dir.h"
 #include "truth/registry.h"
 
 namespace dptd {
@@ -104,10 +104,9 @@ TEST(EndToEnd, FloorplanScenarioThroughPipeline) {
 }
 
 TEST(EndToEnd, DatasetSurvivesDiskRoundTripThroughPipeline) {
-  const auto dir = std::filesystem::temp_directory_path() / "dptd_e2e";
-  std::filesystem::create_directories(dir);
-  const std::string obs_path = (dir / "obs.csv").string();
-  const std::string truth_path = (dir / "truth.csv").string();
+  const dptd::testing::TempDir dir("dptd_e2e");
+  const std::string obs_path = dir.file("obs.csv");
+  const std::string truth_path = dir.file("truth.csv");
 
   data::SyntheticConfig synth;
   synth.num_users = 30;
@@ -123,7 +122,6 @@ TEST(EndToEnd, DatasetSurvivesDiskRoundTripThroughPipeline) {
   const core::PipelineResult a = run_private_truth_discovery(dataset, pipeline);
   const core::PipelineResult b = run_private_truth_discovery(loaded, pipeline);
   EXPECT_NEAR(a.utility_mae, b.utility_mae, 1e-9);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(EndToEnd, AdversariesAndPerturbationTogether) {
