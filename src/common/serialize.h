@@ -30,6 +30,11 @@ class Encoder {
   void write_string(const std::string& s);
   void write_doubles(std::span<const double> xs);
   void write_bytes(std::span<const std::uint8_t> bytes);
+  /// Appends `bytes` with no length prefix: the caller delimits them.
+  void write_raw(std::span<const std::uint8_t> bytes) {
+    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+  }
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }

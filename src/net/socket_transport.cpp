@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -22,6 +23,15 @@ namespace dptd::net {
 namespace {
 
 constexpr std::size_t kFramePrefixBytes = 4;
+/// Frame header upper bound: two 10-byte varints and the u32 type.
+constexpr std::size_t kMaxFrameHeaderBytes = 10 + 10 + 4;
+/// send() only queues; a connection's queue is written once this many bytes
+/// were queued since its last write attempt (and at every progress call), so
+/// a burst of small reports costs one syscall per ~64 KiB instead of one per
+/// report — and one receiver wake-up per batch instead of one per report.
+constexpr std::size_t kCorkBytes = std::size_t{64} << 10;
+/// Frames gathered into one sendmsg (Linux IOV_MAX is 1024).
+constexpr std::size_t kMaxIovecs = 256;
 constexpr int kMaxPollTimeoutMs = 60'000;
 
 void set_nonblocking(int fd) {
@@ -36,6 +46,13 @@ std::uint32_t read_le32(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(p[1]) << 8) |
          (static_cast<std::uint32_t>(p[2]) << 16) |
          (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+/// True when the kernel already knows the peer closed or reset the
+/// connection, i.e. when a write would fail with EPIPE/ECONNRESET.
+bool peer_hung_up(int fd) {
+  pollfd probe{fd, 0, 0};
+  return ::poll(&probe, 1, 0) > 0 && (probe.revents & (POLLHUP | POLLERR));
 }
 
 void write_le32(std::uint8_t* p, std::uint32_t v) {
@@ -103,15 +120,20 @@ void SocketTransportConfig::validate() const {
 // ---------------------------------------------------------------------------
 // Framing
 
-std::vector<std::uint8_t> SocketTransport::encode_frame_body(
+std::vector<std::uint8_t> SocketTransport::encode_frame(
     const Message& message) {
   Encoder enc;
+  enc.reserve(kFramePrefixBytes + kMaxFrameHeaderBytes +
+              message.payload.size());  // the frame's only allocation
+  enc.write_u32(0);  // length prefix, patched once the body size is known
   enc.write_varint(message.source);
   enc.write_varint(message.destination);
   enc.write_u32(message.type);
-  std::vector<std::uint8_t> body = enc.take();
-  body.insert(body.end(), message.payload.begin(), message.payload.end());
-  return body;
+  enc.write_raw(message.payload);
+  std::vector<std::uint8_t> frame = enc.take();
+  write_le32(frame.data(),
+             static_cast<std::uint32_t>(frame.size() - kFramePrefixBytes));
+  return frame;
 }
 
 Message SocketTransport::decode_frame_body(
@@ -139,6 +161,9 @@ SocketTransport::SocketTransport(SocketTransportConfig config)
 }
 
 SocketTransport::~SocketTransport() {
+  // Best effort: corked frames get one non-blocking write before the close;
+  // whatever the kernel does not take is lost, as it is on any process exit.
+  flush_writes();
   for (auto& [fd, conn] : connections_) ::close(fd);
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (!listen_unix_path_.empty()) ::unlink(listen_unix_path_.c_str());
@@ -217,15 +242,12 @@ void SocketTransport::count_undeliverable(NodeId destination) {
 // Sending and routing
 
 SocketTransport::OutFrame SocketTransport::make_frame(const Message& message) {
-  std::vector<std::uint8_t> body = encode_frame_body(message);
-  DPTD_REQUIRE(body.size() <= config_.max_frame_bytes,
-               "SocketTransport: frame exceeds max_frame_bytes");
   OutFrame frame;
   frame.destination = message.destination;
-  frame.bytes.resize(kFramePrefixBytes + body.size());
-  write_le32(frame.bytes.data(), static_cast<std::uint32_t>(body.size()));
-  std::copy(body.begin(), body.end(),
-            frame.bytes.begin() + kFramePrefixBytes);
+  frame.bytes = encode_frame(message);
+  DPTD_REQUIRE(
+      frame.bytes.size() - kFramePrefixBytes <= config_.max_frame_bytes,
+      "SocketTransport: frame exceeds max_frame_bytes");
   return frame;
 }
 
@@ -259,8 +281,18 @@ void SocketTransport::send(Message message) {
     return;
   }
   Connection& conn = *connections_.at(fd);
+  const bool was_idle = conn.wqueue.empty();
   conn.wqueue.push_back(make_frame(message));
-  try_flush(conn);  // opportunistic: most frames go out without a poll pass
+  conn.corked += conn.wqueue.back().bytes.size();
+  if (conn.corked >= kCorkBytes) {
+    try_flush(conn);
+  } else if (was_idle && !conn.connecting && peer_hung_up(fd)) {
+    // A peer that died while the link sat idle is found here, inside send(),
+    // as a write would find it: the frame re-parks (or counts undeliverable)
+    // before send() returns, so callers that watch undeliverable_to() across
+    // a send still see the drop. One probe per batch, not per frame.
+    close_connection(fd);
+  }
 }
 
 int SocketTransport::route_fd(NodeId destination, bool* backoff_wait) {
@@ -351,22 +383,52 @@ int SocketTransport::route_fd(NodeId destination, bool* backoff_wait) {
 
 void SocketTransport::try_flush(Connection& conn) {
   if (conn.connecting) return;
+  conn.corked = 0;
+  iovec iov[kMaxIovecs]{};
   while (!conn.wqueue.empty()) {
-    OutFrame& front = conn.wqueue.front();
-    const std::size_t left = front.bytes.size() - conn.woff;
-    const ssize_t n = ::send(conn.fd, front.bytes.data() + conn.woff, left,
-                             MSG_NOSIGNAL);
+    // Gather the queue's head frames; the first resumes at the write offset
+    // a previous short write left it at.
+    std::size_t count = 0;
+    std::size_t wanted = 0;
+    for (auto it = conn.wqueue.begin();
+         it != conn.wqueue.end() && count < kMaxIovecs; ++it, ++count) {
+      const std::size_t skip = count == 0 ? conn.woff : 0;
+      iov[count].iov_base = it->bytes.data() + skip;
+      iov[count].iov_len = it->bytes.size() - skip;
+      wanted += iov[count].iov_len;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // short write
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // buffer full
       close_connection(conn.fd);
       return;
     }
     made_io_progress_ = true;
-    conn.woff += static_cast<std::size_t>(n);
-    if (conn.woff == front.bytes.size()) {
+    // Retire the fully written frames; a cut inside a frame leaves it at the
+    // front with woff marking where the next write resumes.
+    auto written = static_cast<std::size_t>(n);
+    while (written > 0) {
+      const std::size_t left = conn.wqueue.front().bytes.size() - conn.woff;
+      if (written < left) {
+        conn.woff += written;
+        break;
+      }
+      written -= left;
       conn.wqueue.pop_front();
       conn.woff = 0;
     }
+    if (static_cast<std::size_t>(n) < wanted) return;  // short write
+  }
+}
+
+void SocketTransport::flush_writes() {
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    Connection& conn = *it->second;
+    ++it;  // try_flush may close (erase) conn; other iterators stay valid
+    if (!conn.wqueue.empty()) try_flush(conn);
   }
 }
 
@@ -612,6 +674,15 @@ std::size_t SocketTransport::poll_pass(int timeout_ms) {
 }
 
 std::size_t SocketTransport::poll(double deadline) {
+  // Frames corked since the last progress call go out first, and whatever
+  // the node callbacks sent during this call goes out before it returns.
+  flush_writes();
+  const std::size_t delivered = poll_until(deadline);
+  flush_writes();
+  return delivered;
+}
+
+std::size_t SocketTransport::poll_until(double deadline) {
   std::size_t delivered = 0;
   for (;;) {
     fire_due_timers();
@@ -651,6 +722,7 @@ std::size_t SocketTransport::poll(double deadline) {
 }
 
 std::size_t SocketTransport::run_until_idle() {
+  flush_writes();
   std::size_t total = 0;
   for (;;) {
     fire_due_timers();

@@ -8,12 +8,18 @@
 //   [u32 LE body length][varint source][varint destination][u32 type][payload]
 //
 // where the payload runs to the end of the body (the prefix delimits it).
-// The event loop handles partial reads (frames are reassembled across recv
-// boundaries) and short writes (a per-connection frame queue with a write
-// offset, flushed on POLLOUT). A body that fails to decode is counted in
-// malformed_frames() and skipped — the length prefix keeps the stream in
-// sync, so one corrupt frame never poisons the connection; only an insane
-// length prefix (> max_frame_bytes) forces a close.
+// Each message is one frame, but not one write. send() only appends the
+// frame to its connection's queue; the queue reaches the wire as gathered
+// sendmsg calls (many frames per syscall) (1) once 64 KiB were queued since
+// the connection's last write, (2) at every progress call — on entry to
+// poll() and run_until_idle(), and before poll() returns — and (3) best
+// effort in the destructor. A write may stop anywhere, even inside a frame:
+// the queue keeps a write offset into its front frame and resumes there on
+// POLLOUT. The read side reassembles frames across recv boundaries. A body
+// that fails to decode is counted in malformed_frames() and skipped — the
+// length prefix keeps the stream in sync, so one corrupt frame never poisons
+// the connection; only an insane length prefix (> max_frame_bytes) forces a
+// close.
 //
 // Routing: a destination is resolved in order against (1) locally attached
 // nodes (delivered through the poll loop, never inline), (2) the configured
@@ -24,18 +30,23 @@
 // zero peer configuration. Anything else is undeliverable.
 //
 // Failure model mapping (vs the simulator's LatencyModel): a dead peer shows
-// up as connect() refusal or a write/EOF error. Frames sent while a
-// configured peer's link is down — the connect was refused just now, or the
-// link is inside its reconnect-backoff window — and frames still queued on a
-// dying outbound connection, are NOT dropped: they park on the peer link
-// (bounded by backoff_queue_max_frames; overflow is counted undeliverable)
-// and flush in order when the connection reopens — poll() wakes itself at
-// the next retry time, so no new send is needed to trigger the reconnect.
-// This matters for one-way traffic with no resend path (routed reports): a
-// shard restarting mid-ingest must not silently lose the frames routed
-// during its down window. RPCs additionally ride the coordinator's
-// timeout-and-resend loop, so stragglers and restarts cost resends, never
-// correctness.
+// up as connect() refusal or a write/EOF error — or, for the first frame
+// queued on an idle connection, as a hang-up the kernel already reports,
+// which send() acts on at once, as the write it no longer makes would have.
+// Frames sent while a configured peer's link is down — the connect was
+// refused just now, or the link is inside its reconnect-backoff window — and
+// frames still queued on a dying outbound connection, are NOT dropped: they
+// park on the peer link (bounded by backoff_queue_max_frames; overflow is
+// counted undeliverable) and flush in order when the connection reopens —
+// poll() wakes itself at the next retry time, so no new send is needed to
+// trigger the reconnect. The dying connection's unwritten frames — still
+// corked, or cut mid-frame by a short write — re-park one frame at a time,
+// each keeping its destination for undeliverable attribution; a cut frame
+// restarts from byte 0 on the new connection. This matters for one-way
+// traffic with no resend path (routed reports): a shard restarting
+// mid-ingest must not silently lose the frames routed during its down
+// window. RPCs additionally ride the coordinator's timeout-and-resend loop,
+// so stragglers and restarts cost resends, never correctness.
 //
 // Single-threaded by design: all progress happens inside poll() /
 // run_until_idle() on the calling thread, mirroring the simulator.
@@ -134,9 +145,10 @@ class SocketTransport final : public Transport {
   /// unix path); empty when client-only.
   const std::string& listen_endpoint() const { return listen_endpoint_; }
 
-  /// Encodes/decodes one frame BODY (without the u32 length prefix);
+  /// Encodes one whole frame (u32 length prefix + body) — the exact bytes
+  /// the transport writes — and decodes one frame BODY (without the prefix);
   /// exposed for the framing fuzz tests.
-  static std::vector<std::uint8_t> encode_frame_body(const Message& message);
+  static std::vector<std::uint8_t> encode_frame(const Message& message);
   static Message decode_frame_body(std::span<const std::uint8_t> body);
 
  private:
@@ -152,6 +164,7 @@ class SocketTransport final : public Transport {
     std::vector<std::uint8_t> rbuf;        ///< partial-frame reassembly
     std::deque<OutFrame> wqueue;
     std::size_t woff = 0;                  ///< bytes of wqueue.front() written
+    std::size_t corked = 0;                ///< bytes queued since last write
   };
   struct Timer {
     double when = 0.0;
@@ -175,6 +188,8 @@ class SocketTransport final : public Transport {
   };
 
   void open_listener();
+  /// poll() between its write flushes.
+  std::size_t poll_until(double deadline);
   /// One event-loop pass with the given poll(2) timeout; returns messages
   /// delivered. Sets made_io_progress_ when any read/write/accept happened.
   std::size_t poll_pass(int timeout_ms);
@@ -193,7 +208,11 @@ class SocketTransport final : public Transport {
   /// Length-prefixed wire form of one message (checked against
   /// max_frame_bytes).
   OutFrame make_frame(const Message& message);
+  /// Writes conn's queue with gathered sendmsg calls until it is empty, the
+  /// kernel buffer is full, or the write fails (which closes conn).
   void try_flush(Connection& conn);
+  /// try_flush over every connection with queued frames.
+  void flush_writes();
   std::size_t read_ready(Connection& conn);
   std::size_t parse_frames(Connection& conn);
   /// Hands `message` to its attached node (true) or counts it

@@ -12,6 +12,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -93,8 +95,14 @@ TEST(SocketEndpointTest, ParsesUnixAndTcpSpecs) {
 TEST(SocketFrameTest, BodyCodecRoundTripsEveryField) {
   const Message original =
       make_msg(123456789, 9'000'000, 42, {0x00, 0xFF, 0x10, 0x20});
-  const std::vector<std::uint8_t> body =
-      SocketTransport::encode_frame_body(original);
+  const std::vector<std::uint8_t> frame =
+      SocketTransport::encode_frame(original);
+  ASSERT_GE(frame.size(), 4u);
+  const std::span<const std::uint8_t> body =
+      std::span<const std::uint8_t>(frame).subspan(4);
+  std::uint32_t prefix = 0;
+  for (int i = 3; i >= 0; --i) prefix = (prefix << 8) | frame[i];
+  EXPECT_EQ(prefix, body.size());  // u32 LE prefix delimits the body
   const Message decoded = SocketTransport::decode_frame_body(body);
   EXPECT_EQ(decoded.source, original.source);
   EXPECT_EQ(decoded.destination, original.destination);
@@ -426,6 +434,157 @@ TEST(SocketTransportTest, DyingConnectionRequeuesUnflushedFrames) {
   EXPECT_EQ(dropped, client.undeliverable_to(2));  // revival dropped nothing
 }
 
+TEST(SocketTransportTest, GatheredWritesCutMidFrameDeliverInOrderByteExact) {
+  TempDir dir;
+  SocketTransportConfig server_cfg;
+  server_cfg.listen = "unix:" + dir.sock("burst");
+  SocketTransport server(server_cfg);
+  CollectNode sink;
+  server.attach(2, sink);
+
+  SocketTransportConfig client_cfg;
+  client_cfg.peers[2] = server_cfg.listen;
+  SocketTransport client(client_cfg);
+
+  // Odd, mixed payload sizes so the kernel buffer's cuts land inside frames,
+  // plus one empty payload and one frame far above the 64 KiB cork size.
+  constexpr std::size_t kFrames = 100'000;
+  constexpr std::size_t kEmpty = 7;
+  constexpr std::size_t kHuge = 50'000;
+  const auto payload_for = [](std::size_t i) {
+    const std::size_t size = i == kEmpty  ? 0
+                             : i == kHuge ? (std::size_t{200} << 10)
+                                          : 1 + (i * 7919) % 97;
+    std::vector<std::uint8_t> payload(size);
+    for (std::size_t j = 0; j < size; ++j) {
+      payload[j] = static_cast<std::uint8_t>(i * 31 + j);
+    }
+    return payload;
+  };
+  // The server is not polled during the burst: the socket buffer fills, so
+  // the sender's gathered writes come back short and then EAGAIN, and the
+  // rest of the queue waits for the pump below.
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    client.send(make_msg(1, 2, static_cast<std::uint32_t>(i), payload_for(i)));
+  }
+  ASSERT_TRUE(pump_until({&client, &server},
+                         [&] { return sink.received.size() >= kFrames; },
+                         30.0));
+  ASSERT_EQ(sink.received.size(), kFrames);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    const Message& m = sink.received[i];
+    if (m.source != 1 || m.destination != 2 || m.type != i ||
+        m.payload != payload_for(i)) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_TRUE(sink.received[kEmpty].payload.empty());
+  EXPECT_EQ(client.stats().messages_sent, server.stats().messages_delivered);
+  EXPECT_EQ(client.stats().bytes_sent, server.stats().bytes_delivered);
+  EXPECT_EQ(server.malformed_frames(), 0u);
+  EXPECT_EQ(client.undeliverable_to(2), 0u);
+}
+
+TEST(SocketTransportTest, CorkedFramesOfDyingConnectionReparkWithoutLoss) {
+  TempDir dir;
+  const std::string spec = "unix:" + dir.sock("cork");
+
+  SocketTransportConfig server_cfg;
+  server_cfg.listen = spec;
+  auto server = std::make_unique<SocketTransport>(server_cfg);
+  CollectNode first_sink;
+  server->attach(2, first_sink);
+
+  SocketTransportConfig client_cfg;
+  client_cfg.peers[2] = spec;
+  client_cfg.reconnect_backoff_seconds = 0.01;
+  client_cfg.reconnect_backoff_max_seconds = 0.05;
+  SocketTransport client(client_cfg);
+
+  std::uint32_t sent = 0;
+  client.send(make_msg(1, 2, sent++, {0}));
+  ASSERT_TRUE(pump_until({&client, server.get()},
+                         [&] { return first_sink.received.size() == 1; }));
+
+  // Frames far below the cork size stay queued in the client: send() alone
+  // does not write them, so they are still corked when the server dies.
+  for (std::uint8_t i = 1; i <= 20; ++i) {
+    client.send(make_msg(1, 2, sent++, {i}));
+  }
+  server.reset();
+
+  // Server returns on the same path. The client's next progress call writes
+  // into the dead connection; the failure re-parks the corked frames on the
+  // link, and they flush to the revived server in order.
+  auto revived = std::make_unique<SocketTransport>(server_cfg);
+  CollectNode second_sink;
+  revived->attach(2, second_sink);
+  const auto accounted = [&] {
+    return first_sink.received.size() + second_sink.received.size() +
+           client.undeliverable_to(2);
+  };
+  ASSERT_TRUE(pump_until({&client, revived.get()},
+                         [&] { return accounted() >= sent; }));
+  EXPECT_EQ(accounted(), sent);  // delivered + undeliverable == sent
+
+  std::vector<int> copies(sent, 0);
+  for (const CollectNode* sink : {&first_sink, &second_sink}) {
+    for (const Message& m : sink->received) {
+      ASSERT_LT(m.type, sent);
+      ++copies[m.type];
+    }
+  }
+  for (std::uint32_t type = 0; type < sent; ++type) {
+    EXPECT_EQ(copies[type], 1) << "frame " << type;  // no loss, no duplicate
+  }
+  EXPECT_EQ(client.undeliverable_to(2), 0u);  // all 20 fit the park queue
+  ASSERT_EQ(second_sink.received.size(), 20u);
+  for (std::uint8_t i = 1; i <= 20; ++i) {
+    EXPECT_EQ(second_sink.received[i - 1].payload,
+              std::vector<std::uint8_t>{i});
+  }
+}
+
+TEST(SocketTransportTest, FrameBelowCorkSizeFlushesAtEveryProgressPoint) {
+  TempDir dir;
+  SocketTransportConfig server_cfg;
+  server_cfg.listen = "unix:" + dir.sock("progress");
+  SocketTransport server(server_cfg);
+  CollectNode sink;
+  server.attach(2, sink);
+
+  SocketTransportConfig client_cfg;
+  client_cfg.peers[2] = server_cfg.listen;
+  auto client = std::make_unique<SocketTransport>(client_cfg);
+  const auto server_receives = [&](std::size_t n) {
+    return pump_until({&server}, [&] { return sink.received.size() >= n; });
+  };
+
+  // send() alone only queues a small frame: nothing reaches the server
+  // until the client makes progress.
+  client->send(make_msg(1, 2, 1, {1}));
+  server.poll(server.now() + 0.02);
+  EXPECT_TRUE(sink.received.empty());
+
+  client->run_until_idle();  // flushes on entry
+  ASSERT_TRUE(server_receives(1));
+
+  client->send(make_msg(1, 2, 2, {2}));
+  client->poll(client->now());  // flushes on entry
+  ASSERT_TRUE(server_receives(2));
+
+  client->send(make_msg(1, 2, 3, {3}));
+  client.reset();  // the destructor's best-effort flush
+  ASSERT_TRUE(server_receives(3));
+
+  ASSERT_EQ(sink.received.size(), 3u);
+  for (std::uint8_t i = 1; i <= 3; ++i) {
+    EXPECT_EQ(sink.received[i - 1].payload, std::vector<std::uint8_t>{i});
+  }
+}
+
 TEST(SocketTransportTest, TimersFireInOrderThroughPoll) {
   SocketTransport transport({});
   std::vector<int> fired;
@@ -483,17 +642,9 @@ struct RawClient {
   }
 };
 
+/// The exact bytes the transport writes for `message`.
 std::vector<std::uint8_t> full_frame(const Message& message) {
-  const std::vector<std::uint8_t> body =
-      SocketTransport::encode_frame_body(message);
-  std::vector<std::uint8_t> frame;
-  frame.reserve(4 + body.size());
-  const auto len = static_cast<std::uint32_t>(body.size());
-  for (int shift = 0; shift < 32; shift += 8) {
-    frame.push_back(static_cast<std::uint8_t>(len >> shift));
-  }
-  frame.insert(frame.end(), body.begin(), body.end());
-  return frame;
+  return SocketTransport::encode_frame(message);
 }
 
 TEST(SocketFramingFuzzTest, TruncationAtEveryByteOffsetNeverCrashes) {
