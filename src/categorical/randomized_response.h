@@ -15,9 +15,11 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
-#include "categorical/label_matrix.h"
+#include "categorical/voting.h"
 #include "common/rng.h"
+#include "data/dataset.h"
 
 namespace dptd::categorical {
 
@@ -39,7 +41,7 @@ struct RandomizedResponseReport {
 };
 
 struct RandomizedResponseOutcome {
-  LabelMatrix perturbed;
+  data::ObservationMatrix perturbed;  ///< same cells, label values perturbed
   RandomizedResponseReport report;
 };
 
@@ -55,7 +57,10 @@ class UserSampledRandomizedResponse {
 
   explicit UserSampledRandomizedResponse(Config config);
 
-  RandomizedResponseOutcome perturb(const LabelMatrix& original) const;
+  /// Perturbs every claim of `original`, whose values must be label ids
+  /// below `num_labels` (throws std::invalid_argument otherwise).
+  RandomizedResponseOutcome perturb(const data::ObservationMatrix& original,
+                                    std::size_t num_labels) const;
 
   /// The eps the given user samples under this mechanism seed.
   double user_epsilon(std::size_t user) const;

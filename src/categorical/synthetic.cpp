@@ -8,6 +8,27 @@
 
 namespace dptd::categorical {
 
+void LabelDataset::validate() const {
+  DPTD_REQUIRE(claims.num_users() > 0, "LabelDataset: empty matrix");
+  DPTD_REQUIRE(num_labels >= 2, "LabelDataset: need at least 2 labels");
+  if (!ground_truth.empty()) {
+    DPTD_REQUIRE(ground_truth.size() == claims.num_objects(),
+                 "LabelDataset: ground truth size != num objects");
+    for (Label truth : ground_truth) {
+      DPTD_REQUIRE(truth < num_labels,
+                   "LabelDataset: ground-truth label out of range");
+    }
+  }
+  claims.for_each([&](std::size_t, std::size_t, double value) {
+    DPTD_REQUIRE(is_label_value(value, num_labels),
+                 "LabelDataset: claim is not a label id");
+  });
+  for (std::size_t n = 0; n < claims.num_objects(); ++n) {
+    DPTD_REQUIRE(claims.object_observation_count(n) > 0,
+                 "LabelDataset: object with zero claims");
+  }
+}
+
 LabelDataset generate_categorical(const CategoricalConfig& config) {
   DPTD_REQUIRE(config.num_users > 0 && config.num_objects > 0,
                "generate_categorical: dimensions must be positive");
@@ -30,7 +51,7 @@ LabelDataset generate_categorical(const CategoricalConfig& config) {
     p = std::min(0.95, exponential(rng, config.lambda_err));
   }
 
-  LabelMatrix claims(config.num_users, config.num_objects, config.num_labels);
+  data::ObservationMatrix claims(config.num_users, config.num_objects);
   Rng miss_rng = rng.split(1);
   Rng claim_rng = rng.split(2);
   for (std::size_t s = 0; s < config.num_users; ++s) {
@@ -47,17 +68,18 @@ LabelDataset generate_categorical(const CategoricalConfig& config) {
                                                  config.num_labels - 1));
         claim = static_cast<Label>((truth + offset) % config.num_labels);
       }
-      claims.set(s, n, claim);
+      claims.set(s, n, static_cast<double>(claim));
     }
   }
   for (std::size_t n = 0; n < config.num_objects; ++n) {
     if (claims.object_observation_count(n) == 0) {
       const auto s = static_cast<std::size_t>(
           uniform_index(miss_rng, config.num_users));
-      claims.set(s, n, dataset.ground_truth[n]);
+      claims.set(s, n, static_cast<double>(dataset.ground_truth[n]));
     }
   }
   dataset.claims = std::move(claims);
+  dataset.num_labels = config.num_labels;
   dataset.validate();
   return dataset;
 }

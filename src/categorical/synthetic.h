@@ -5,10 +5,23 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
-#include "categorical/label_matrix.h"
+#include "categorical/voting.h"
+#include "data/dataset.h"
 
 namespace dptd::categorical {
+
+/// Categorical dataset with optional ground-truth labels: claims are label
+/// ids stored as exact doubles in the shared sparse container.
+struct LabelDataset {
+  data::ObservationMatrix claims;
+  std::size_t num_labels = 0;
+  std::vector<Label> ground_truth;  ///< empty if unknown
+
+  bool has_ground_truth() const { return !ground_truth.empty(); }
+  void validate() const;
+};
 
 struct CategoricalConfig {
   std::size_t num_users = 150;

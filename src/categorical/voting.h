@@ -1,5 +1,16 @@
 // Truth discovery for categorical claims (extension module).
 //
+// EXTENSION (beyond the reproduced paper): the paper handles continuous
+// data and cites its companion work (Li et al., KDD 2018 [23]) for the
+// categorical case. This module provides the categorical analogue so the
+// library covers both data types; DESIGN.md lists it as an extension.
+//
+// Claims live in the same sparse container as continuous ones: a
+// data::ObservationMatrix whose values are label ids stored as exact small
+// doubles. The label alphabet size is passed to every kernel, and a claim
+// whose value fails is_label_value is skipped where it is read (sanitize,
+// never abort), so every layer sees the same valid claims.
+//
 //  - majority_vote: quality-blind plurality per object.
 //  - weighted_vote: the CRH-style iteration on labels — weight users by
 //    -log of their share of total disagreement with the current estimates,
@@ -14,15 +25,37 @@
 // distributed coordinator reproduces the exact same chain over the wire.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <span>
-#include <string>
 #include <vector>
 
-#include "categorical/label_matrix.h"
-#include "categorical/label_sharding.h"
 #include "common/thread_pool.h"
+#include "data/dataset.h"
+#include "data/sharding.h"
 
 namespace dptd::categorical {
+
+using Label = std::uint32_t;
+
+/// True iff `value` encodes a valid label id below `num_labels`: finite,
+/// integral, and in [0, num_labels). NaN fails both range tests and +inf the
+/// upper one. No id beyond the Label range exists, so the bound is capped
+/// there and the truncating cast of the integrality test is always defined;
+/// a caller that passes the test reads the id as static_cast<Label>(value).
+inline bool is_label_value(double value, std::size_t num_labels) {
+  constexpr std::size_t kLabelRange =
+      std::size_t{std::numeric_limits<Label>::max()} + 1;
+  const double bound = static_cast<double>(std::min(num_labels, kLabelRange));
+  return value >= 0.0 && value < bound &&
+         static_cast<double>(static_cast<Label>(value)) == value;
+}
+
+/// Fraction of objects where `estimate` matches `truth` (accuracy metric of
+/// the categorical literature).
+double label_accuracy(const std::vector<Label>& estimate,
+                      const std::vector<Label>& truth);
 
 struct VotingResult {
   std::vector<Label> truths;    ///< one label per object
@@ -46,9 +79,11 @@ struct WeightedVotingConfig {
 /// the preceding shards' partial). Weights are indexed by *global* user id.
 /// Claims are summed flat within a canonical user block and block partials
 /// are chained in ascending order, so the result is bitwise identical for
-/// any shard count and any `pool` size.
-void fold_label_scores(const ShardedLabelMatrix& m, ThreadPool* pool,
-                       std::span<const double> weights,
+/// any shard count and any `pool` size. A claim that is not a label id is
+/// skipped before the block-boundary test: it never opens or closes a
+/// segment, so the chain is the one over the valid claims alone.
+void fold_label_scores(const data::ShardedMatrix& m, std::size_t num_labels,
+                       ThreadPool* pool, std::span<const double> weights,
                        std::span<double> scores);
 
 /// Plurality per object from a score table: argmax over labels, ties break
@@ -68,11 +103,11 @@ std::vector<Label> truths_from_scores(std::span<const double> scores,
 void debias_scores(std::span<double> scores, std::size_t num_objects,
                    std::size_t num_labels, double keep_probability);
 
-/// Per-user count of claims disagreeing with `truths`. Purely per-user state
-/// (no merge): each user's count comes from their own row. `disagreement` is
-/// indexed by global user id and fully overwritten.
-void vote_disagreement(const ShardedLabelMatrix& m, ThreadPool* pool,
-                       std::span<const Label> truths,
+/// Per-user count of valid label claims disagreeing with `truths`. Purely
+/// per-user state (no merge): each user's count comes from their own row.
+/// `disagreement` is indexed by global user id and fully overwritten.
+void vote_disagreement(const data::ShardedMatrix& m, std::size_t num_labels,
+                       ThreadPool* pool, std::span<const Label> truths,
                        std::span<double> disagreement);
 
 /// CRH Eq. (3) on 0/1 loss: weights[s] = -log(max(d_s/total, min_fraction)).
@@ -89,23 +124,26 @@ void vote_weights_from_disagreement(std::span<const double> disagreement,
 
 /// Plurality vote per object; ties break toward the smaller label id.
 /// Bitwise identical for any shard count of `m` and any `pool` size.
-VotingResult majority_vote(const ShardedLabelMatrix& m,
-                           ThreadPool* pool = nullptr);
+VotingResult majority_vote(const data::ShardedMatrix& m,
+                           std::size_t num_labels, ThreadPool* pool = nullptr);
 
 /// CRH-style iterative weighted voting. `warm_weights` (global user ids)
 /// seeds the first aggregation when non-empty; empty seeds uniformly — a
 /// warm start with all-1.0 weights is bitwise identical to a cold run.
 /// `warm_truths` (one label per object) skips the initial aggregation
 /// entirely and starts the iteration from the given estimates.
-VotingResult weighted_vote(const ShardedLabelMatrix& m,
+VotingResult weighted_vote(const data::ShardedMatrix& m,
+                           std::size_t num_labels,
                            const WeightedVotingConfig& config = {},
                            ThreadPool* pool = nullptr,
                            std::span<const double> warm_weights = {},
                            std::span<const Label> warm_truths = {});
 
 /// Convenience single-shard entry points over a flat matrix.
-VotingResult majority_vote(const LabelMatrix& claims);
-VotingResult weighted_vote(const LabelMatrix& claims,
+VotingResult majority_vote(const data::ObservationMatrix& claims,
+                           std::size_t num_labels);
+VotingResult weighted_vote(const data::ObservationMatrix& claims,
+                           std::size_t num_labels,
                            const WeightedVotingConfig& config = {});
 
 }  // namespace dptd::categorical

@@ -13,7 +13,7 @@
 #include <span>
 #include <vector>
 
-#include "categorical/label_matrix.h"
+#include "categorical/voting.h"
 #include "crowd/device.h"
 #include "crowd/protocol.h"
 #include "net/network.h"

@@ -68,7 +68,6 @@ void ShardNode::reset_round_state() {
   gtm_ = {};
   catd_ = {};
   vote_ = {};
-  label_view_.reset();
   // last_op_id_ is deliberately NOT reset: the exactly-once watermark is the
   // dedup floor a real replica persists across restarts, and it is what keeps
   // delayed duplicates of pre-crash ops from re-executing after a rejoin.
@@ -221,7 +220,6 @@ std::vector<std::uint8_t> ShardNode::execute(
       chi2_.clear();
       disagreement_.clear();
       vote_ = {};
-      label_view_.reset();
       return {};
     }
     case ShardOp::kFinalizeIngest: {
@@ -234,7 +232,7 @@ std::vector<std::uint8_t> ShardNode::execute(
         if (!ingestor_.armed()) throw DecodeError("shard: no open round");
         round_open_ = false;
         view_.reset();
-        label_view_.reset();
+        vote_ = {};
         matrix_ = ingestor_.finalize();
         const std::size_t local_users = matrix_->num_users();
         view_.emplace(data::ShardedMatrix::single(*matrix_, block_size_));
@@ -402,42 +400,41 @@ std::vector<std::uint8_t> ShardNode::execute(
       }
       const data::ShardedMatrix& v = view();
       vote_ = req;
-      // Owned reinterpretation of the local sub-matrix: same sanitize-drop
-      // rule as the in-process bridge, so both deployments see identical
-      // label views.
-      label_view_.emplace(truth::label_view(
-          v, static_cast<std::size_t>(req.num_labels)));
       disagreement_.assign(v.num_users(), 0.0);
       return {};
     }
     case ShardOp::kVoteScores: {
       VoteScoresBody req = VoteScoresBody::decode(body);
-      if (!label_view_.has_value() ||
+      if (vote_.num_labels == 0 ||
           req.scores.size() !=
               num_objects_ * static_cast<std::size_t>(vote_.num_labels)) {
         throw DecodeError("VoteScoresBody: size mismatch or unprepared");
       }
       // Continue the global score chain: local blocks are the global blocks
       // (the shard base is block-aligned), so folding on top of the carried
-      // table reproduces the in-process fold's bits.
-      categorical::fold_label_scores(*label_view_, nullptr, weights_,
-                                     req.scores);
+      // table reproduces the in-process fold's bits. The kernel drops
+      // non-label claims exactly as in-process, so both vote over the same
+      // claims.
+      categorical::fold_label_scores(
+          view(), static_cast<std::size_t>(vote_.num_labels), nullptr,
+          weights_, req.scores);
       return req.encode();
     }
     case ShardOp::kVoteDisagree: {
       const VoteDisagreeBody req = VoteDisagreeBody::decode(body);
-      if (!label_view_.has_value() || req.truths.size() != num_objects_) {
+      if (vote_.num_labels == 0 || req.truths.size() != num_objects_) {
         throw DecodeError("VoteDisagreeBody: size mismatch or unprepared");
       }
-      categorical::vote_disagreement(*label_view_, nullptr, req.truths,
-                                     disagreement_);
+      categorical::vote_disagreement(
+          view(), static_cast<std::size_t>(vote_.num_labels), nullptr,
+          req.truths, disagreement_);
       CrhTotalBody out;
       out.total = truth::block_chain_sum(disagreement_, block_size_, req.total);
       return out.encode();
     }
     case ShardOp::kVoteWeights: {
       const CrhTotalBody req = CrhTotalBody::decode(body);
-      if (!label_view_.has_value() ||
+      if (vote_.num_labels == 0 ||
           disagreement_.size() != weights_.size()) {
         throw DecodeError("kVoteWeights: shard not vote-prepared");
       }

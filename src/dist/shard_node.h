@@ -2,9 +2,11 @@
 // ingests its user range's reports through a crowd::ShardIngestor (the same
 // ingest core as the in-process server) and answers the coordinator's
 // sufficient-statistics RPCs (dist/stats_wire.h) by running the exact
-// shard-side kernels the in-process run_sharded uses. Because its local
-// user range is block-aligned, every chained fold it continues reproduces the
-// global fold's bits (see stats_wire.h for the full argument).
+// shard-side kernels the in-process run_sharded uses. Every method, the
+// categorical votes included, reads the one finalized local sub-matrix; no
+// per-method copy is built. Because its local user range is block-aligned,
+// every chained fold it continues reproduces the global fold's bits (see
+// stats_wire.h for the full argument).
 //
 // RPC semantics: exactly-once per op_id, enforced with a monotonic watermark.
 // Coordinator op ids are globally increasing, so the node keeps the highest
@@ -26,7 +28,6 @@
 #include <optional>
 #include <vector>
 
-#include "categorical/label_sharding.h"
 #include "crowd/protocol.h"
 #include "crowd/server.h"
 #include "crowd/shard_ingestor.h"
@@ -121,10 +122,9 @@ class ShardNode final : public net::Node {
   CrhPrepareBody crh_;
   GtmPrepareBody gtm_;
   CatdPrepareBody catd_;
+  /// Set by kVotePrepare; num_labels == 0 means the shard is not prepared
+  /// for the vote folds, which then read view() directly.
   VotePrepareBody vote_;
-  /// Sparse label reinterpretation of the finalized local sub-matrix, built
-  /// by kVotePrepare (owned copy; the chained vote folds run over it).
-  std::optional<categorical::ShardedLabelMatrix> label_view_;
 
   // Exactly-once RPC state: the highest executed op id (monotonic watermark,
   // never reset — see class comment) plus the response bytes of that op for

@@ -57,7 +57,7 @@ enum class ShardOp : std::uint8_t {
   // Telemetry.
   kGetTelemetry = 16,   ///< empty -> TelemetryBody (lifetime shard counters)
   // Categorical voting (majority / weighted vote over label claims).
-  kVotePrepare = 17,    ///< VotePrepareBody -> empty ack (builds label view)
+  kVotePrepare = 17,    ///< VotePrepareBody -> empty ack (arms the vote folds)
   kVoteScores = 18,     ///< score chain: VoteScoresBody -> VoteScoresBody
   kVoteDisagree = 19,   ///< disagreement chain: VoteDisagreeBody -> CrhTotalBody
   kVoteWeights = 20,    ///< CrhTotalBody broadcast -> empty ack

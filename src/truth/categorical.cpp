@@ -26,55 +26,18 @@ Result to_result(categorical::VotingResult vr) {
 
 }  // namespace
 
-bool is_label_value(double value, std::size_t num_labels) {
-  return std::isfinite(value) && value >= 0.0 &&
-         value < static_cast<double>(num_labels) &&
-         value == std::floor(value);
-}
-
 std::size_t infer_num_labels(const data::ShardedMatrix& m) {
   double max_label = -1.0;
   for (std::size_t s = 0; s < m.num_shards(); ++s) {
     m.shard(s).for_each([&](std::size_t, std::size_t, double v) {
-      if (is_label_value(v, kMaxBridgedLabels) && v > max_label) max_label = v;
+      if (categorical::is_label_value(v, kMaxBridgedLabels) && v > max_label) {
+        max_label = v;
+      }
     });
   }
   const auto inferred =
       max_label < 0.0 ? std::size_t{0} : static_cast<std::size_t>(max_label) + 1;
   return std::max<std::size_t>(inferred, 2);
-}
-
-categorical::LabelMatrix label_view(const data::ObservationMatrix& obs,
-                                    std::size_t num_labels,
-                                    std::size_t* dropped) {
-  check_num_labels(num_labels);
-  std::vector<std::vector<categorical::LabelMatrix::Entry>> rows(
-      obs.num_users());
-  for (std::size_t s = 0; s < obs.num_users(); ++s) {
-    const auto row = obs.user_entries(s);
-    rows[s].reserve(row.size());
-    for (const data::ObservationMatrix::Entry& e : row) {
-      if (!is_label_value(e.value, num_labels)) {
-        if (dropped != nullptr) ++*dropped;
-        continue;
-      }
-      rows[s].push_back({e.object, static_cast<categorical::Label>(e.value)});
-    }
-  }
-  return categorical::LabelMatrix::from_rows(std::move(rows),
-                                             obs.num_objects(), num_labels);
-}
-
-categorical::ShardedLabelMatrix label_view(const data::ShardedMatrix& m,
-                                           std::size_t num_labels,
-                                           std::size_t* dropped) {
-  std::vector<categorical::LabelMatrix> shards;
-  shards.reserve(m.num_shards());
-  for (std::size_t s = 0; s < m.num_shards(); ++s) {
-    shards.push_back(label_view(m.shard(s), num_labels, dropped));
-  }
-  return categorical::ShardedLabelMatrix::from_shards(
-      m.plan(), std::move(shards), m.num_objects(), num_labels);
 }
 
 std::vector<categorical::Label> labels_from_doubles(
@@ -105,9 +68,8 @@ Result MajorityVote::run_sharded(const data::ShardedMatrix& shards,
   (void)warm;  // single pass: nothing to seed
   const std::size_t num_labels =
       config_.num_labels != 0 ? config_.num_labels : infer_num_labels(shards);
-  const categorical::ShardedLabelMatrix view = label_view(shards, num_labels);
   RunPool pool(config_.num_threads);
-  return to_result(categorical::majority_vote(view, pool.get()));
+  return to_result(categorical::majority_vote(shards, num_labels, pool.get()));
 }
 
 WeightedVote::WeightedVote(WeightedVoteConfig config) : config_(config) {
@@ -128,13 +90,13 @@ Result WeightedVote::run_sharded(const data::ShardedMatrix& shards,
   validate_warm_start(shards.num_users(), shards.num_objects(), warm);
   const std::size_t num_labels =
       config_.num_labels != 0 ? config_.num_labels : infer_num_labels(shards);
-  const categorical::ShardedLabelMatrix view = label_view(shards, num_labels);
   std::vector<categorical::Label> warm_truths;
   if (!warm.truths.empty()) {
     warm_truths = labels_from_doubles(warm.truths, num_labels);
   }
   RunPool pool(config_.num_threads);
-  return to_result(categorical::weighted_vote(view, config_.voting, pool.get(),
+  return to_result(categorical::weighted_vote(shards, num_labels,
+                                              config_.voting, pool.get(),
                                               warm.weights, warm_truths));
 }
 

@@ -4,10 +4,10 @@
 // the distributed coordinator — all speak truth::TruthDiscovery over
 // continuous ObservationMatrix claims. This bridge lets those layers run
 // categorical campaigns unchanged: label ids ride as exact small doubles in
-// the observation matrices, each shard's sub-matrix is reinterpreted as a
-// sparse LabelMatrix view (out-of-domain values sanitize-dropped, the same
-// rule on every layer so in-process and distributed runs agree bitwise), and
-// the mergeable voting kernels of categorical/voting.h do the aggregation in
+// the observation matrices, and the mergeable voting kernels of
+// categorical/voting.h read those matrices directly, skipping out-of-domain
+// values as they go (sanitize-drop, the same rule on every layer so
+// in-process and distributed runs agree bitwise) and aggregating in
 // canonical block order. Truths come back as label ids in doubles — exact,
 // since every label id is far below 2^53.
 #pragma once
@@ -16,8 +16,6 @@
 #include <span>
 #include <vector>
 
-#include "categorical/label_matrix.h"
-#include "categorical/label_sharding.h"
 #include "categorical/voting.h"
 #include "truth/interface.h"
 
@@ -27,31 +25,12 @@ namespace dptd::truth {
 /// double and per-object histograms stay small.
 inline constexpr std::size_t kMaxBridgedLabels = 1u << 20;
 
-/// True iff `value` encodes a valid label id below `num_labels`: finite,
-/// integral, and in [0, num_labels).
-bool is_label_value(double value, std::size_t num_labels);
-
 /// Smallest consistent alphabet for a matrix of label-encoded doubles:
 /// max valid label id + 1, clamped to >= 2. Values that encode no label at
-/// all (non-integral, negative, or >= kMaxBridgedLabels) are ignored — they
-/// are dropped by the view below. Scans every shard, so the result is
+/// all (non-integral, negative, or >= kMaxBridgedLabels) are ignored — the
+/// voting kernels drop them. Scans every shard, so the result is
 /// independent of the shard count.
 std::size_t infer_num_labels(const data::ShardedMatrix& m);
-
-/// Reinterprets one shard's observation sub-matrix as a sparse LabelMatrix.
-/// Claims whose value fails is_label_value are dropped (counted into
-/// `dropped` when non-null) — sanitize, never abort, exactly like report
-/// ingestion. O(nnz), straight into from_rows.
-categorical::LabelMatrix label_view(const data::ObservationMatrix& obs,
-                                    std::size_t num_labels,
-                                    std::size_t* dropped = nullptr);
-
-/// The sharded composition of label_view: same plan, every shard converted,
-/// drops summed. The categorical kernels over this view are bitwise
-/// identical for any shard count.
-categorical::ShardedLabelMatrix label_view(const data::ShardedMatrix& m,
-                                           std::size_t num_labels,
-                                           std::size_t* dropped = nullptr);
 
 /// Converts a warm-start truth vector (doubles) back to label ids: rounded
 /// to nearest and clamped into [0, num_labels). Seeds from a previous

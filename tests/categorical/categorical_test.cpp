@@ -1,34 +1,34 @@
-// Extension module tests: label matrix, voting, k-RR mechanism, and the
+// Extension module tests: label accuracy, voting, k-RR mechanism, and the
 // end-to-end categorical private-truth-discovery story.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
-#include "categorical/label_matrix.h"
 #include "categorical/randomized_response.h"
 #include "categorical/synthetic.h"
 #include "categorical/voting.h"
 #include "common/statistics.h"
+#include "data/dataset.h"
 
 namespace dptd::categorical {
 namespace {
 
-TEST(LabelMatrix, SetGetClearAndBounds) {
-  LabelMatrix m(2, 3, 4);
-  EXPECT_EQ(m.observation_count(), 0u);
-  m.set(0, 1, 3);
-  EXPECT_TRUE(m.present(0, 1));
-  EXPECT_EQ(m.label(0, 1), 3u);
-  m.clear(0, 1);
-  EXPECT_FALSE(m.present(0, 1));
-  EXPECT_THROW(m.set(0, 0, 4), std::invalid_argument);  // label out of range
-  EXPECT_THROW(m.set(2, 0, 0), std::invalid_argument);  // user out of range
-  EXPECT_THROW((void)m.label(0, 0), std::invalid_argument);  // missing
-}
-
-TEST(LabelMatrix, RejectsDegenerateShapes) {
-  EXPECT_THROW(LabelMatrix(0, 1, 2), std::invalid_argument);
-  EXPECT_THROW(LabelMatrix(1, 1, 1), std::invalid_argument);
+TEST(LabelValue, AcceptsExactlyIntegralIdsBelowTheAlphabet) {
+  EXPECT_TRUE(is_label_value(0.0, 4));
+  EXPECT_TRUE(is_label_value(-0.0, 4));
+  EXPECT_TRUE(is_label_value(3.0, 4));
+  EXPECT_FALSE(is_label_value(4.0, 4));
+  EXPECT_FALSE(is_label_value(2.5, 4));
+  EXPECT_FALSE(is_label_value(-1.0, 4));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(is_label_value(std::numeric_limits<double>::quiet_NaN(), 4));
+  EXPECT_FALSE(is_label_value(kInf, 4));
+  EXPECT_FALSE(is_label_value(-kInf, 4));
+  // Alphabets beyond the Label range accept only ids a Label can hold.
+  EXPECT_TRUE(is_label_value(4294967295.0, std::size_t{1} << 40));
+  EXPECT_FALSE(is_label_value(4294967296.0, std::size_t{1} << 40));
+  EXPECT_FALSE(is_label_value(1e300, std::size_t{1} << 40));
 }
 
 TEST(LabelAccuracy, CountsMatches) {
@@ -38,20 +38,20 @@ TEST(LabelAccuracy, CountsMatches) {
 }
 
 TEST(MajorityVote, PluralityWins) {
-  LabelMatrix m(5, 1, 3);
+  data::ObservationMatrix m(5, 1);
   m.set(0, 0, 1);
   m.set(1, 0, 1);
   m.set(2, 0, 1);
   m.set(3, 0, 2);
   m.set(4, 0, 0);
-  EXPECT_EQ(majority_vote(m).truths[0], 1u);
+  EXPECT_EQ(majority_vote(m, 3).truths[0], 1u);
 }
 
 TEST(MajorityVote, TiesBreakTowardSmallerLabel) {
-  LabelMatrix m(2, 1, 3);
+  data::ObservationMatrix m(2, 1);
   m.set(0, 0, 2);
   m.set(1, 0, 1);
-  EXPECT_EQ(majority_vote(m).truths[0], 1u);
+  EXPECT_EQ(majority_vote(m, 3).truths[0], 1u);
 }
 
 TEST(WeightedVote, DownweightsBadUsers) {
@@ -71,19 +71,20 @@ TEST(WeightedVote, DownweightsBadUsers) {
     dataset.claims.set(3, n, lie);
     dataset.claims.set(4, n, lie);
   }
-  const VotingResult result = weighted_vote(dataset.claims);
+  const VotingResult result =
+      weighted_vote(dataset.claims, dataset.num_labels);
   EXPECT_GT(label_accuracy(result.truths, dataset.ground_truth), 0.95);
   EXPECT_LT(result.weights[3], result.weights[0]);
   EXPECT_LT(result.weights[4], result.weights[0]);
 }
 
 TEST(WeightedVote, UnanimousDataConvergesImmediately) {
-  LabelMatrix m(3, 2, 2);
+  data::ObservationMatrix m(3, 2);
   for (std::size_t s = 0; s < 3; ++s) {
     m.set(s, 0, 1);
     m.set(s, 1, 0);
   }
-  const VotingResult result = weighted_vote(m);
+  const VotingResult result = weighted_vote(m, 2);
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.truths, (std::vector<Label>{1, 0}));
   for (double w : result.weights) EXPECT_DOUBLE_EQ(w, 1.0);
@@ -97,10 +98,11 @@ TEST(WeightedVote, AtLeastAsAccurateAsMajorityOnHeterogeneousData) {
   config.seed = 11;
   const LabelDataset dataset = generate_categorical(config);
   const double weighted =
-      label_accuracy(weighted_vote(dataset.claims).truths,
+      label_accuracy(weighted_vote(dataset.claims, dataset.num_labels).truths,
                      dataset.ground_truth);
-  const double majority = label_accuracy(majority_vote(dataset.claims).truths,
-                                         dataset.ground_truth);
+  const double majority =
+      label_accuracy(majority_vote(dataset.claims, dataset.num_labels).truths,
+                     dataset.ground_truth);
   EXPECT_GE(weighted, majority - 0.01);
 }
 
@@ -158,8 +160,10 @@ TEST(UserSampledRr, DeterministicInSeed) {
   config.num_objects = 10;
   const LabelDataset dataset = generate_categorical(config);
   const UserSampledRandomizedResponse mech({.lambda_rr = 1.0, .seed = 9});
-  const RandomizedResponseOutcome a = mech.perturb(dataset.claims);
-  const RandomizedResponseOutcome b = mech.perturb(dataset.claims);
+  const RandomizedResponseOutcome a =
+      mech.perturb(dataset.claims, dataset.num_labels);
+  const RandomizedResponseOutcome b =
+      mech.perturb(dataset.claims, dataset.num_labels);
   EXPECT_EQ(a.perturbed, b.perturbed);
   EXPECT_EQ(a.report.epsilons, b.report.epsilons);
 }
@@ -171,8 +175,8 @@ TEST(UserSampledRr, StrongerPrivacyFlipsMore) {
   const LabelDataset dataset = generate_categorical(config);
   const UserSampledRandomizedResponse weak({.lambda_rr = 0.2, .seed = 3});
   const UserSampledRandomizedResponse strong({.lambda_rr = 5.0, .seed = 3});
-  const auto weak_out = weak.perturb(dataset.claims);
-  const auto strong_out = strong.perturb(dataset.claims);
+  const auto weak_out = weak.perturb(dataset.claims, dataset.num_labels);
+  const auto strong_out = strong.perturb(dataset.claims, dataset.num_labels);
   EXPECT_LT(weak_out.report.flipped_cells, strong_out.report.flipped_cells);
 }
 
@@ -188,13 +192,16 @@ TEST(EndToEnd, WeightedVotingAbsorbsRandomizedResponseNoise) {
   const LabelDataset dataset = generate_categorical(config);
 
   const UserSampledRandomizedResponse mech({.lambda_rr = 0.7, .seed = 13});
-  const RandomizedResponseOutcome outcome = mech.perturb(dataset.claims);
+  const RandomizedResponseOutcome outcome =
+      mech.perturb(dataset.claims, dataset.num_labels);
   EXPECT_GT(outcome.report.flipped_cells, 0u);
 
   const double weighted = label_accuracy(
-      weighted_vote(outcome.perturbed).truths, dataset.ground_truth);
+      weighted_vote(outcome.perturbed, dataset.num_labels).truths,
+      dataset.ground_truth);
   const double majority = label_accuracy(
-      majority_vote(outcome.perturbed).truths, dataset.ground_truth);
+      majority_vote(outcome.perturbed, dataset.num_labels).truths,
+      dataset.ground_truth);
   EXPECT_GT(weighted, 0.9);
   EXPECT_GE(weighted, majority);
 }
@@ -254,9 +261,10 @@ TEST_P(RrPrivacySweep, WeightedVotingStaysAboveChance) {
   const LabelDataset dataset = generate_categorical(config);
   const UserSampledRandomizedResponse mech({.lambda_rr = lambda_rr,
                                             .seed = 17});
-  const auto outcome = mech.perturb(dataset.claims);
+  const auto outcome = mech.perturb(dataset.claims, dataset.num_labels);
   const double accuracy = label_accuracy(
-      weighted_vote(outcome.perturbed).truths, dataset.ground_truth);
+      weighted_vote(outcome.perturbed, dataset.num_labels).truths,
+      dataset.ground_truth);
   EXPECT_GT(accuracy, 0.3) << "lambda_rr=" << lambda_rr;  // chance = 0.25
 }
 

@@ -1,8 +1,6 @@
-// Satellite suites of the sparse categorical engine:
-//  - the dual-indexed sparse LabelMatrix agrees with a dense reference grid
-//    under randomized set/clear traffic, on every accessor;
-//  - the streaming LabelMatrixBuilder produces matrices bitwise identical to
-//    batch assembly (last-claim-wins, duplicate rows rejected, reusable);
+// Satellite suites of the sparse categorical engine (label claims stored in
+// data::ObservationMatrix, whose container suites live in tests/data):
+//  - the block-chained score fold equals a naive dense histogram;
 //  - the voting kernels are bitwise invariant across shard counts
 //    K ∈ {1,2,4,8}, cold and warm-started;
 //  - k-RR debiasing edge cases: p = 1 identity, invalid keep probabilities
@@ -11,123 +9,28 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <optional>
 #include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "categorical/label_builder.h"
-#include "categorical/label_matrix.h"
-#include "categorical/label_sharding.h"
 #include "categorical/randomized_response.h"
 #include "categorical/synthetic.h"
 #include "categorical/voting.h"
+#include "data/sharding.h"
 
 namespace dptd::categorical {
 namespace {
 
 constexpr std::size_t kBlock = 8;
 
-/// Dense reference: one optional label per cell, mutated in lockstep with
-/// the sparse matrix under test.
-struct DenseGrid {
-  std::size_t users;
-  std::size_t objects;
-  std::vector<std::optional<Label>> cells;
-
-  DenseGrid(std::size_t u, std::size_t n) : users(u), objects(n), cells(u * n) {}
-  std::optional<Label>& at(std::size_t s, std::size_t n) {
-    return cells[s * objects + n];
-  }
-  const std::optional<Label>& at(std::size_t s, std::size_t n) const {
-    return cells[s * objects + n];
-  }
-};
-
-void expect_matches_dense(const LabelMatrix& sparse, const DenseGrid& dense) {
-  std::size_t nnz = 0;
-  for (std::size_t s = 0; s < dense.users; ++s) {
-    std::size_t row_count = 0;
-    for (std::size_t n = 0; n < dense.objects; ++n) {
-      const auto& cell = dense.at(s, n);
-      ASSERT_EQ(sparse.present(s, n), cell.has_value()) << s << "," << n;
-      ASSERT_EQ(sparse.get(s, n), cell) << s << "," << n;
-      if (cell.has_value()) {
-        ASSERT_EQ(sparse.label(s, n), *cell) << s << "," << n;
-        ++row_count;
-        ++nnz;
-      }
-    }
-    EXPECT_EQ(sparse.user_observation_count(s), row_count);
-    // CSR row: sorted by object, exactly the present cells.
-    const auto row = sparse.user_entries(s);
-    ASSERT_EQ(row.size(), row_count);
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) {
-        EXPECT_LT(row[i - 1].object, row[i].object);
-      }
-      ASSERT_TRUE(dense.at(s, row[i].object).has_value());
-      EXPECT_EQ(row[i].label, *dense.at(s, row[i].object));
-    }
-  }
-  EXPECT_EQ(sparse.observation_count(), nnz);
-  // CSC columns: sorted by user, exactly the present cells.
-  for (std::size_t n = 0; n < dense.objects; ++n) {
-    std::size_t col_count = 0;
-    for (std::size_t s = 0; s < dense.users; ++s) {
-      if (dense.at(s, n).has_value()) ++col_count;
-    }
-    EXPECT_EQ(sparse.object_observation_count(n), col_count);
-    const auto col = sparse.object_entries(n);
-    ASSERT_EQ(col.size(), col_count);
-    for (std::size_t i = 0; i < col.size(); ++i) {
-      if (i > 0) {
-        EXPECT_LT(col.users[i - 1], col.users[i]);
-      }
-      ASSERT_TRUE(dense.at(col.users[i], n).has_value());
-      EXPECT_EQ(col.labels[i], *dense.at(col.users[i], n));
-    }
-  }
-}
-
-TEST(SparseLabelMatrix, MatchesDenseReferenceUnderRandomizedMutation) {
-  constexpr std::size_t kUsers = 23;
-  constexpr std::size_t kObjects = 11;
-  constexpr std::size_t kLabels = 5;
-  std::mt19937_64 rng(0xc0ffee);
-  std::uniform_int_distribution<std::size_t> pick_user(0, kUsers - 1);
-  std::uniform_int_distribution<std::size_t> pick_object(0, kObjects - 1);
-  std::uniform_int_distribution<Label> pick_label(0, kLabels - 1);
-  std::uniform_int_distribution<int> pick_op(0, 9);
-
-  LabelMatrix sparse(kUsers, kObjects, kLabels);
-  DenseGrid dense(kUsers, kObjects);
-  for (int step = 0; step < 2000; ++step) {
-    const std::size_t s = pick_user(rng);
-    const std::size_t n = pick_object(rng);
-    if (pick_op(rng) < 7) {  // mostly sets (overwrites included)
-      const Label l = pick_label(rng);
-      sparse.set(s, n, l);
-      dense.at(s, n) = l;
-    } else {
-      sparse.clear(s, n);  // clearing a missing cell is a no-op
-      dense.at(s, n).reset();
-    }
-    // Interleave column reads so the CSC cache is rebuilt mid-traffic, not
-    // only at the end.
-    if (step % 251 == 0) sparse.ensure_object_index();
-  }
-  expect_matches_dense(sparse, dense);
-}
-
-TEST(SparseLabelMatrix, FoldScoresMatchesDenseHistogramExactly) {
+TEST(SparseLabelVoting, FoldScoresMatchesDenseHistogramExactly) {
   // Integer-valued weights make every accumulation exact, so the
   // block-chained fold and a naive dense histogram agree bitwise.
   const LabelDataset dataset = generate_categorical(
       {.num_users = 40, .num_objects = 12, .num_labels = 4,
        .lambda_err = 3.0, .missing_rate = 0.35, .seed = 9});
-  const std::size_t L = dataset.claims.num_labels();
+  const std::size_t L = dataset.num_labels;
   std::vector<double> weights(dataset.claims.num_users());
   for (std::size_t s = 0; s < weights.size(); ++s) {
     weights[s] = static_cast<double>(s % 7 + 1);
@@ -138,65 +41,12 @@ TEST(SparseLabelMatrix, FoldScoresMatchesDenseHistogramExactly) {
     naive[n * L + l] += weights[s];
   });
 
-  const auto view = ShardedLabelMatrix::single(dataset.claims, kBlock);
+  const auto view = data::ShardedMatrix::single(dataset.claims, kBlock);
   std::vector<double> folded(naive.size(), 0.0);
-  fold_label_scores(view, nullptr, weights, folded);
+  fold_label_scores(view, L, nullptr, weights, folded);
   for (std::size_t i = 0; i < naive.size(); ++i) {
     EXPECT_EQ(folded[i], naive[i]) << "cell " << i;
   }
-}
-
-TEST(LabelMatrixBuilder, StreamingEqualsBatchBitwise) {
-  constexpr std::size_t kUsers = 31;
-  constexpr std::size_t kObjects = 9;
-  constexpr std::size_t kLabels = 6;
-  std::mt19937_64 rng(0xbeef);
-  std::uniform_int_distribution<std::size_t> pick_object(0, kObjects - 1);
-  std::uniform_int_distribution<Label> pick_label(0, kLabels - 1);
-  std::uniform_int_distribution<std::size_t> pick_count(0, 14);
-
-  // Per-user claim streams with repeated objects (last claim wins) and
-  // arbitrary object order — the builder must match LabelMatrix::set run in
-  // the identical claim order.
-  LabelMatrix batch(kUsers, kObjects, kLabels);
-  LabelMatrixBuilder builder(kUsers, kObjects, kLabels);
-  for (std::size_t s = 0; s < kUsers; ++s) {
-    std::vector<std::uint64_t> objects;
-    std::vector<Label> labels;
-    const std::size_t count = pick_count(rng);
-    for (std::size_t i = 0; i < count; ++i) {
-      objects.push_back(pick_object(rng));
-      labels.push_back(pick_label(rng));
-      batch.set(s, objects.back(), labels.back());
-    }
-    ASSERT_TRUE(builder.add_row(s, objects, labels));
-    EXPECT_TRUE(builder.has_row(s));
-    // A re-sent row is rejected wholesale, not merged.
-    EXPECT_FALSE(builder.add_row(s, objects, labels));
-  }
-  EXPECT_EQ(builder.rows_ingested(), kUsers);
-  const LabelMatrix streamed = builder.finalize();
-  EXPECT_EQ(streamed, batch);
-
-  // Voting over the two matrices is bitwise identical.
-  const VotingResult a = weighted_vote(batch);
-  const VotingResult b = weighted_vote(streamed);
-  EXPECT_EQ(a.truths, b.truths);
-  ASSERT_EQ(a.weights.size(), b.weights.size());
-  for (std::size_t s = 0; s < a.weights.size(); ++s) {
-    EXPECT_EQ(a.weights[s], b.weights[s]);
-  }
-  EXPECT_EQ(a.iterations, b.iterations);
-
-  // finalize() resets: the builder serves the next round from a clean slate.
-  EXPECT_EQ(builder.rows_ingested(), 0u);
-  EXPECT_EQ(builder.observation_count(), 0u);
-  const std::vector<std::uint64_t> objs{0, 3};
-  const std::vector<Label> labs{1, 2};
-  ASSERT_TRUE(builder.add_row(4, objs, labs));
-  const LabelMatrix second = builder.finalize();
-  EXPECT_EQ(second.observation_count(), 2u);
-  EXPECT_EQ(second.get(4, 3), std::optional<Label>(2));
 }
 
 void expect_voting_equal(const VotingResult& a, const VotingResult& b,
@@ -216,28 +66,30 @@ TEST(SparseLabelVoting, BitwiseInvariantAcrossShardCountsColdAndWarm) {
   const LabelDataset dataset = generate_categorical(
       {.num_users = 96, .num_objects = 24, .num_labels = 5,
        .lambda_err = 0.8, .missing_rate = 0.3, .seed = 1});
-  const auto reference_view = ShardedLabelMatrix::single(dataset.claims, kBlock);
-  const VotingResult majority_ref = majority_vote(reference_view);
-  const VotingResult vote_ref = weighted_vote(reference_view);
+  const std::size_t L = dataset.num_labels;
+  const auto reference_view =
+      data::ShardedMatrix::single(dataset.claims, kBlock);
+  const VotingResult majority_ref = majority_vote(reference_view, L);
+  const VotingResult vote_ref = weighted_vote(reference_view, L);
   ASSERT_GT(vote_ref.iterations, 1u);
 
   for (const std::size_t k : {1u, 2u, 4u, 8u}) {
     const std::string label = "K=" + std::to_string(k);
-    const auto view = ShardedLabelMatrix::partition(dataset.claims, k, kBlock);
-    expect_voting_equal(majority_ref, majority_vote(view),
+    const auto view = data::ShardedMatrix::partition(dataset.claims, k, kBlock);
+    expect_voting_equal(majority_ref, majority_vote(view, L),
                         "majority " + label);
-    expect_voting_equal(vote_ref, weighted_vote(view), "vote cold " + label);
+    expect_voting_equal(vote_ref, weighted_vote(view, L), "vote cold " + label);
 
     // Warm halves of the seed, each against the single-shard twin.
     const VotingResult warm_w_ref =
-        weighted_vote(reference_view, {}, nullptr, vote_ref.weights);
+        weighted_vote(reference_view, L, {}, nullptr, vote_ref.weights);
     expect_voting_equal(
-        warm_w_ref, weighted_vote(view, {}, nullptr, vote_ref.weights),
+        warm_w_ref, weighted_vote(view, L, {}, nullptr, vote_ref.weights),
         "vote warm-weights " + label);
     const VotingResult warm_t_ref =
-        weighted_vote(reference_view, {}, nullptr, {}, vote_ref.truths);
+        weighted_vote(reference_view, L, {}, nullptr, {}, vote_ref.truths);
     expect_voting_equal(
-        warm_t_ref, weighted_vote(view, {}, nullptr, {}, vote_ref.truths),
+        warm_t_ref, weighted_vote(view, L, {}, nullptr, {}, vote_ref.truths),
         "vote warm-truths " + label);
   }
 }

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "categorical/label_matrix.h"
 #include "categorical/synthetic.h"
 #include "crowd/label_client.h"
 #include "crowd/protocol.h"
@@ -75,7 +74,8 @@ void send_label_dataset(Harness& h, const categorical::LabelDataset& dataset,
     std::vector<categorical::Label> labels;
     for (const auto& entry : row) {
       objects.push_back(entry.object);
-      labels.push_back(entry.label);
+      labels.push_back(
+          static_cast<categorical::Label>(entry.value));
     }
     const LabelReport report = make_label_report(
         round, s, objects, labels, kLabels, /*keep_probability=*/1.0,

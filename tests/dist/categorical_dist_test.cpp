@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "categorical/label_matrix.h"
 #include "categorical/synthetic.h"
 #include "crowd/protocol.h"
 #include "data/sharding.h"
@@ -43,7 +42,7 @@ categorical::LabelDataset label_dataset(std::uint64_t seed, std::size_t users,
 
 /// The in-process reference input: label ids as exact doubles, the same
 /// encoding the shard builders store from decoded kLabelReport claims.
-data::ObservationMatrix as_observations(const categorical::LabelMatrix& m) {
+data::ObservationMatrix as_observations(const data::ObservationMatrix& m) {
   data::ObservationMatrix obs(m.num_users(), m.num_objects());
   m.for_each([&](std::size_t s, std::size_t n, categorical::Label l) {
     obs.set(s, n, static_cast<double>(l));
@@ -120,7 +119,8 @@ void send_label_dataset(Fleet& fleet,
     report.user_id = s;
     for (const auto& entry : row) {
       report.objects.push_back(entry.object);
-      report.labels.push_back(entry.label);
+      report.labels.push_back(
+          static_cast<categorical::Label>(entry.value));
     }
     fleet.network.send(crowd::make_message(report.user_id, kCoordinatorId,
                                            crowd::MessageType::kLabelReport,

@@ -28,7 +28,6 @@
 #include <thread>
 #include <vector>
 
-#include "categorical/label_matrix.h"
 #include "categorical/synthetic.h"
 #include "data/builder.h"
 #include "data/sharding.h"
@@ -234,7 +233,8 @@ void inject_reports(Coordinator& coordinator, const Workload& workload,
       report.user_id = s;
       for (const auto& entry : row) {
         report.objects.push_back(entry.object);
-        report.labels.push_back(entry.label);
+        report.labels.push_back(
+            static_cast<categorical::Label>(entry.value));
       }
       coordinator.on_message(
           crowd::make_message(report.user_id, kCoordinatorId,
