@@ -269,10 +269,36 @@ std::optional<T> decode_or_fail(
   }
 }
 
+/// kMoments reply adapter, so the moments fold decodes like every other body.
+struct MomentsBody {
+  std::vector<RunningStats> moments;
+  static MomentsBody decode(std::span<const std::uint8_t> bytes) {
+    return MomentsBody{decode_moments(bytes)};
+  }
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Statistics collectives
+
+Coordinator::BatchPrefixFn Coordinator::prepare_prefix(
+    ShardOp prepare, std::vector<std::uint8_t> prepare_body,
+    const std::vector<double>& weights) const {
+  WeightsBody uniform;
+  uniform.uniform = true;
+  return [this, prepare, prepare_body = std::move(prepare_body),
+          uniform_body = uniform.encode(), &weights](std::size_t i) {
+    return Batch{BatchItem{prepare, prepare_body},
+                 BatchItem{ShardOp::kSetWeights,
+                           weights.empty() ? uniform_body
+                                           : weights_slice_body(weights, i)}};
+  };
+}
+
+Coordinator::BatchPrefixFn Coordinator::every_shard(Batch items) {
+  return [items = std::move(items)](std::size_t) { return items; };
+}
 
 std::optional<std::vector<std::uint8_t>> Coordinator::chain_call(
     net::NodeId shard, std::size_t index, ShardOp op,
@@ -295,6 +321,24 @@ std::optional<std::vector<std::uint8_t>> Coordinator::chain_call(
   return std::move(decoded->bodies.back());
 }
 
+template <typename Reply, typename Request, typename Absorb>
+bool Coordinator::chain(ShardOp op, const BatchPrefixFn& prefix_of,
+                        const Request& request, const Absorb& absorb) {
+  for (std::size_t i : live_) {
+    const net::NodeId shard = active_[i];
+    auto reply = chain_call(shard, i, op, request(), prefix_of);
+    if (!reply.has_value()) return false;
+    auto body = decode_or_fail<Reply>(shard, *reply, malformed_by_node_,
+                                      failed_shard_);
+    if (!body.has_value()) return false;
+    if (!absorb(*body)) {
+      failed_shard_ = shard;
+      return false;
+    }
+  }
+  return true;
+}
+
 std::vector<std::uint8_t> Coordinator::weights_slice_body(
     const std::vector<double>& global, std::size_t i) const {
   WeightsBody body;
@@ -305,70 +349,33 @@ std::vector<std::uint8_t> Coordinator::weights_slice_body(
   return body.encode();
 }
 
-bool Coordinator::set_weights_uniform() {
-  WeightsBody body;
-  body.uniform = true;
-  return broadcast(ShardOp::kSetWeights, body.encode());
-}
-
-bool Coordinator::set_weights_explicit(const std::vector<double>& global) {
-  DPTD_REQUIRE(global.size() == plan_.num_users,
-               "Coordinator: weight vector size != num users");
-  return call_all(ShardOp::kSetWeights, live_nodes(),
-                  [&](std::size_t j) {
-                    return weights_slice_body(global, live_[j]);
-                  })
-      .has_value();
-}
-
-std::optional<truth::AggregateStats> Coordinator::aggregate_chain(
-    const BatchPrefixFn& prefix_of) {
-  // The chained fold: each shard continues the accumulator exactly where the
-  // previous one stopped, reproducing the in-process ascending-shard fold.
-  AggregateBody body;
-  body.stats.reset(config_.num_objects);
-  for (std::size_t i : live_) {
-    const net::NodeId shard = active_[i];
-    auto reply = chain_call(shard, i, ShardOp::kAggregate, body.encode(),
-                            prefix_of);
-    if (!reply.has_value()) return std::nullopt;
-    auto next = decode_or_fail<AggregateBody>(shard, *reply,
-                                              malformed_by_node_,
-                                              failed_shard_);
-    if (!next.has_value() ||
-        next->stats.counts.size() != config_.num_objects) {
-      failed_shard_ = shard;
-      return std::nullopt;
-    }
-    body = std::move(*next);
-  }
-  return std::move(body.stats);
-}
-
 std::optional<std::vector<double>> Coordinator::aggregate_truths(
     const BatchPrefixFn& prefix_of) {
-  auto stats = aggregate_chain(prefix_of);
-  if (!stats.has_value()) return std::nullopt;
-  return truth::truths_from_aggregate(*stats, nullptr);
+  // Each shard continues the accumulator exactly where the previous one
+  // stopped, reproducing the in-process ascending-shard fold.
+  AggregateBody acc;
+  acc.stats.reset(config_.num_objects);
+  const bool ok = chain<AggregateBody>(
+      ShardOp::kAggregate, prefix_of, [&] { return acc.encode(); },
+      [&](AggregateBody& next) {
+        if (next.stats.counts.size() != config_.num_objects) return false;
+        acc = std::move(next);
+        return true;
+      });
+  if (!ok) return std::nullopt;
+  return truth::truths_from_aggregate(acc.stats, nullptr);
 }
 
 std::optional<std::vector<RunningStats>> Coordinator::moments_chain() {
   std::vector<RunningStats> moments(config_.num_objects);
-  for (net::NodeId shard : live_nodes()) {
-    auto reply = call(shard, ShardOp::kMoments, encode_moments(moments));
-    if (!reply.has_value()) return std::nullopt;
-    try {
-      moments = decode_moments(*reply);
-    } catch (const DecodeError&) {
-      ++malformed_by_node_[shard];
-      failed_shard_ = shard;
-      return std::nullopt;
-    }
-    if (moments.size() != config_.num_objects) {
-      failed_shard_ = shard;
-      return std::nullopt;
-    }
-  }
+  const bool ok = chain<MomentsBody>(
+      ShardOp::kMoments, {}, [&] { return encode_moments(moments); },
+      [&](MomentsBody& next) {
+        if (next.moments.size() != config_.num_objects) return false;
+        moments = std::move(next.moments);
+        return true;
+      });
+  if (!ok) return std::nullopt;
   return moments;
 }
 
@@ -425,8 +432,8 @@ std::optional<std::vector<std::vector<double>>> Coordinator::gather_columns(
 }
 
 bool Coordinator::collect_telemetry() {
-  // The batched collect_weights pipelines kGetTelemetry into its frames; if
-  // that already covered every live shard this round, skip the extra RPC.
+  // collect_weights pipelines kGetTelemetry into its frames; if that already
+  // covered every live shard this round, skip the extra RPC.
   const std::vector<net::NodeId> targets = live_nodes();
   const bool collected =
       !targets.empty() &&
@@ -449,62 +456,49 @@ bool Coordinator::collect_telemetry() {
 
 std::optional<std::vector<double>> Coordinator::vote_scores_chain(
     std::size_t num_labels, const BatchPrefixFn& prefix_of) {
-  // Same shape as aggregate_chain: the score table threads through the
-  // shards in ascending order, each continuing categorical::fold_label_scores
-  // exactly where the previous shard stopped.
-  VoteScoresBody body;
-  body.scores.assign(config_.num_objects * num_labels, 0.0);
-  for (std::size_t i : live_) {
-    const net::NodeId shard = active_[i];
-    auto reply = chain_call(shard, i, ShardOp::kVoteScores, body.encode(),
-                            prefix_of);
-    if (!reply.has_value()) return std::nullopt;
-    auto next = decode_or_fail<VoteScoresBody>(shard, *reply,
-                                               malformed_by_node_,
-                                               failed_shard_);
-    if (!next.has_value() ||
-        next->scores.size() != config_.num_objects * num_labels) {
-      failed_shard_ = shard;
-      return std::nullopt;
-    }
-    body = std::move(*next);
-  }
-  return std::move(body.scores);
+  // The score table threads through the shards in ascending order, each
+  // continuing categorical::fold_label_scores exactly where the previous
+  // shard stopped.
+  VoteScoresBody acc;
+  acc.scores.assign(config_.num_objects * num_labels, 0.0);
+  const bool ok = chain<VoteScoresBody>(
+      ShardOp::kVoteScores, prefix_of, [&] { return acc.encode(); },
+      [&](VoteScoresBody& next) {
+        if (next.scores.size() != config_.num_objects * num_labels) {
+          return false;
+        }
+        acc = std::move(next);
+        return true;
+      });
+  if (!ok) return std::nullopt;
+  return std::move(acc.scores);
 }
 
 std::optional<std::vector<double>> Coordinator::collect_weights() {
+  // Pipeline the two independent round-close collectives in one frame per
+  // shard: the telemetry rides along, so close_round's collect_telemetry
+  // becomes a no-op. Both are reads — batching cannot change any bits.
   const std::vector<net::NodeId> targets = live_nodes();
-  std::vector<std::vector<std::uint8_t>> slices;
-  if (config_.batch_collectives) {
-    // Pipeline the two independent round-close collectives in one frame per
-    // shard: the telemetry rides along, so close_round's collect_telemetry
-    // becomes a no-op. Both are reads — batching cannot change any bits.
-    BatchBody batch;
-    batch.items.push_back(BatchItem{ShardOp::kCollectWeights, {}});
-    batch.items.push_back(BatchItem{ShardOp::kGetTelemetry, {}});
-    const std::vector<std::uint8_t> encoded = batch.encode();
-    auto replies = call_all(ShardOp::kBatch, targets,
-                            [&](std::size_t) { return encoded; });
-    if (!replies.has_value()) return std::nullopt;
-    slices.resize(targets.size());
-    for (std::size_t j = 0; j < targets.size(); ++j) {
-      auto reply = decode_or_fail<BatchReplyBody>(
-          targets[j], (*replies)[j], malformed_by_node_, failed_shard_);
-      if (!reply.has_value() || reply->bodies.size() != 2) {
-        failed_shard_ = targets[j];
-        return std::nullopt;
-      }
-      auto telemetry = decode_or_fail<TelemetryBody>(
-          targets[j], reply->bodies[1], malformed_by_node_, failed_shard_);
-      if (!telemetry.has_value()) return std::nullopt;
-      telemetry_by_node_[targets[j]] = *telemetry;
-      slices[j] = std::move(reply->bodies[0]);
+  BatchBody batch;
+  batch.items.push_back(BatchItem{ShardOp::kCollectWeights, {}});
+  batch.items.push_back(BatchItem{ShardOp::kGetTelemetry, {}});
+  const std::vector<std::uint8_t> encoded = batch.encode();
+  auto replies = call_all(ShardOp::kBatch, targets,
+                          [&](std::size_t) { return encoded; });
+  if (!replies.has_value()) return std::nullopt;
+  std::vector<std::vector<std::uint8_t>> slices(targets.size());
+  for (std::size_t j = 0; j < targets.size(); ++j) {
+    auto reply = decode_or_fail<BatchReplyBody>(
+        targets[j], (*replies)[j], malformed_by_node_, failed_shard_);
+    if (!reply.has_value() || reply->bodies.size() != 2) {
+      failed_shard_ = targets[j];
+      return std::nullopt;
     }
-  } else {
-    auto replies = call_all(ShardOp::kCollectWeights, targets,
-                            [](std::size_t) { return std::vector<std::uint8_t>{}; });
-    if (!replies.has_value()) return std::nullopt;
-    slices = std::move(*replies);
+    auto telemetry = decode_or_fail<TelemetryBody>(
+        targets[j], reply->bodies[1], malformed_by_node_, failed_shard_);
+    if (!telemetry.has_value()) return std::nullopt;
+    telemetry_by_node_[targets[j]] = *telemetry;
+    slices[j] = std::move(reply->bodies[0]);
   }
   // Surviving users only, concatenated ascending — on a degraded round this
   // is exactly the weight vector of the in-process survivor reference.
@@ -821,38 +815,18 @@ std::optional<truth::Result> Coordinator::run_crh(
   prep.loss = static_cast<std::uint8_t>(c.loss);
   prep.min_loss_fraction = c.min_loss_fraction;
   prep.stddevs = stddevs;
-  const bool batched = config_.batch_collectives;
-  const std::vector<std::uint8_t> prep_bytes = prep.encode();
 
   truth::Result result;
   if (seed.weights.empty() && !seed.truths.empty()) {
     // Warm truths skip the initial aggregation: there is no following
     // collective to fold the prepare into, so broadcast it plain.
-    if (!broadcast(ShardOp::kCrhPrepare, prep_bytes)) return std::nullopt;
+    if (!broadcast(ShardOp::kCrhPrepare, prep.encode())) return std::nullopt;
     result.truths = seed.truths;
   } else {
-    // Batched: [prepare, weights, aggregate-hop] in one frame per shard —
-    // both folded ops only touch registers this shard's own fold consumes.
-    WeightsBody uniform;
-    uniform.uniform = true;
-    BatchPrefixFn prefix;
-    if (batched) {
-      prefix = [&](std::size_t i) {
-        Batch items;
-        items.push_back(BatchItem{ShardOp::kCrhPrepare, prep_bytes});
-        items.push_back(BatchItem{ShardOp::kSetWeights,
-                                  seed.weights.empty()
-                                      ? uniform.encode()
-                                      : weights_slice_body(seed.weights, i)});
-        return items;
-      };
-    } else {
-      if (!broadcast(ShardOp::kCrhPrepare, prep_bytes)) return std::nullopt;
-      const bool ok = seed.weights.empty() ? set_weights_uniform()
-                                           : set_weights_explicit(seed.weights);
-      if (!ok) return std::nullopt;
-    }
-    auto truths = aggregate_truths(prefix);
+    // [prepare, weights, aggregate-hop] in one frame per shard — both
+    // folded ops only touch registers this shard's own fold consumes.
+    auto truths = aggregate_truths(
+        prepare_prefix(ShardOp::kCrhPrepare, prep.encode(), seed.weights));
     if (!truths.has_value()) return std::nullopt;
     result.truths = std::move(*truths);
   }
@@ -861,34 +835,22 @@ std::optional<truth::Result> Coordinator::run_crh(
   for (std::size_t it = 1; it <= c.convergence.max_iterations; ++it) {
     // Loss chain: the running total threads through the shards, continuing
     // the canonical block-chained sum across the fleet.
-    double total = 0.0;
-    for (net::NodeId shard : live_nodes()) {
-      CrhLossBody req;
-      req.truths = result.truths;
-      req.total = total;
-      auto reply = call(shard, ShardOp::kCrhLoss, req.encode());
-      if (!reply.has_value()) return std::nullopt;
-      auto resp = decode_or_fail<CrhTotalBody>(shard, *reply,
-                                               malformed_by_node_,
-                                               failed_shard_);
-      if (!resp.has_value()) return std::nullopt;
-      total = resp->total;
+    CrhLossBody loss;
+    loss.truths = result.truths;
+    if (!chain<CrhTotalBody>(
+            ShardOp::kCrhLoss, {}, [&] { return loss.encode(); },
+            [&](const CrhTotalBody& reply) {
+              loss.total = reply.total;
+              return true;
+            })) {
+      return std::nullopt;
     }
+    // The weight update rides each shard's aggregate hop instead of its own
+    // broadcast round-trip (4 msgs/shard/iteration).
     CrhTotalBody tot;
-    tot.total = total;
-    // Batched: the weight update rides each shard's aggregate hop instead of
-    // its own broadcast round-trip (6 -> 4 msgs/shard/iteration).
-    BatchPrefixFn weights_prefix;
-    if (batched) {
-      const std::vector<std::uint8_t> tot_bytes = tot.encode();
-      weights_prefix = [tot_bytes](std::size_t) {
-        return Batch{BatchItem{ShardOp::kCrhWeights, tot_bytes}};
-      };
-    } else {
-      if (!broadcast(ShardOp::kCrhWeights, tot.encode())) return std::nullopt;
-    }
-
-    auto next = aggregate_truths(weights_prefix);
+    tot.total = loss.total;
+    auto next = aggregate_truths(
+        every_shard({BatchItem{ShardOp::kCrhWeights, tot.encode()}}));
     if (!next.has_value()) return std::nullopt;
     const double change = truth::truth_change(result.truths, *next);
     result.truths = std::move(*next);
@@ -924,7 +886,6 @@ std::optional<truth::Result> Coordinator::run_gtm(
   prep.min_variance = g.min_variance;
   prep.shift = shift;
   prep.scale = scale;
-  const bool batched = config_.batch_collectives;
   const std::vector<std::uint8_t> prep_bytes = prep.encode();
 
   const double prior_precision = 1.0 / g.truth_prior_variance;
@@ -933,60 +894,37 @@ std::optional<truth::Result> Coordinator::run_gtm(
   std::vector<double> truth_mean(N, 0.0);
   std::vector<double> truth_var(N, 0.0);
   const auto posterior_chain = [&](const BatchPrefixFn& prefix_of) -> bool {
-    GtmFoldBody body;
-    body.precision.assign(N, prior_precision);
-    body.weighted.assign(N, prior_weighted);
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      const net::NodeId shard = active_[i];
-      auto reply = chain_call(shard, i, ShardOp::kGtmFold, body.encode(),
-                              prefix_of);
-      if (!reply.has_value()) return false;
-      auto next = decode_or_fail<GtmFoldBody>(shard, *reply,
-                                              malformed_by_node_,
-                                              failed_shard_);
-      if (!next.has_value() || next->precision.size() != N) {
-        failed_shard_ = shard;
-        return false;
-      }
-      body = std::move(*next);
-    }
-    truth::gtm_posterior_from_stats(body.precision, body.weighted, truth_mean,
+    GtmFoldBody acc;
+    acc.precision.assign(N, prior_precision);
+    acc.weighted.assign(N, prior_weighted);
+    const bool ok = chain<GtmFoldBody>(
+        ShardOp::kGtmFold, prefix_of, [&] { return acc.encode(); },
+        [&](GtmFoldBody& next) {
+          if (next.precision.size() != N) return false;
+          acc = std::move(next);
+          return true;
+        });
+    if (!ok) return false;
+    truth::gtm_posterior_from_stats(acc.precision, acc.weighted, truth_mean,
                                     truth_var, nullptr);
     return true;
   };
 
   if (!seed.weights.empty()) {
     // GTM's weights ARE per-user precisions: seed the E-step with them.
-    // Batched: prepare + the weight slice ride each shard's fold hop.
-    BatchPrefixFn prefix;
-    if (batched) {
-      prefix = [&](std::size_t i) {
-        Batch items;
-        items.push_back(BatchItem{ShardOp::kGtmPrepare, prep_bytes});
-        items.push_back(BatchItem{ShardOp::kSetWeights,
-                                  weights_slice_body(seed.weights, i)});
-        return items;
-      };
-    } else {
-      if (!broadcast(ShardOp::kGtmPrepare, prep_bytes)) return std::nullopt;
-      if (!set_weights_explicit(seed.weights)) return std::nullopt;
+    // Prepare + the weight slice ride each shard's fold hop.
+    if (!posterior_chain(
+            prepare_prefix(ShardOp::kGtmPrepare, prep_bytes, seed.weights))) {
+      return std::nullopt;
     }
-    if (!posterior_chain(prefix)) return std::nullopt;
   } else if (!seed.truths.empty()) {
     if (!broadcast(ShardOp::kGtmPrepare, prep_bytes)) return std::nullopt;
     for (std::size_t n = 0; n < N; ++n) {
       truth_mean[n] = (seed.truths[n] - shift[n]) / scale[n];
     }
   } else {
-    BatchPrefixFn prefix;
-    if (batched) {
-      prefix = [&](std::size_t) {
-        return Batch{BatchItem{ShardOp::kGtmPrepare, prep_bytes}};
-      };
-    } else {
-      if (!broadcast(ShardOp::kGtmPrepare, prep_bytes)) return std::nullopt;
-    }
-    auto columns = gather_columns(prefix);
+    auto columns = gather_columns(
+        every_shard({BatchItem{ShardOp::kGtmPrepare, prep_bytes}}));
     if (!columns.has_value()) return std::nullopt;
     for (std::size_t n = 0; n < N; ++n) {
       truth_mean[n] =
@@ -1001,18 +939,12 @@ std::optional<truth::Result> Coordinator::run_gtm(
     GtmStepBody step;
     step.truth_mean = truth_mean;
     step.truth_var = truth_var;
-    // Batched: the M-step broadcast rides each shard's fold hop instead of
-    // its own round-trip (4 -> 2 msgs/shard/iteration).
-    BatchPrefixFn step_prefix;
-    if (batched) {
-      const std::vector<std::uint8_t> step_bytes = step.encode();
-      step_prefix = [step_bytes](std::size_t) {
-        return Batch{BatchItem{ShardOp::kGtmStep, step_bytes}};
-      };
-    } else {
-      if (!broadcast(ShardOp::kGtmStep, step.encode())) return std::nullopt;
+    // The M-step broadcast rides each shard's fold hop instead of its own
+    // round-trip (2 msgs/shard/iteration).
+    if (!posterior_chain(
+            every_shard({BatchItem{ShardOp::kGtmStep, step.encode()}}))) {
+      return std::nullopt;
     }
-    if (!posterior_chain(step_prefix)) return std::nullopt;
 
     result.iterations = it;
     const double change = truth::truth_change(prev_truths, truth_mean);
@@ -1042,40 +974,20 @@ std::optional<truth::Result> Coordinator::run_catd(
   CatdPrepareBody prep;
   prep.significance = c.significance;
   prep.min_residual = c.min_residual;
-  const bool batched = config_.batch_collectives;
   const std::vector<std::uint8_t> prep_bytes = prep.encode();
 
   truth::Result result;
   if (!seed.weights.empty()) {
-    BatchPrefixFn prefix;
-    if (batched) {
-      prefix = [&](std::size_t i) {
-        Batch items;
-        items.push_back(BatchItem{ShardOp::kCatdPrepare, prep_bytes});
-        items.push_back(BatchItem{ShardOp::kSetWeights,
-                                  weights_slice_body(seed.weights, i)});
-        return items;
-      };
-    } else {
-      if (!broadcast(ShardOp::kCatdPrepare, prep_bytes)) return std::nullopt;
-      if (!set_weights_explicit(seed.weights)) return std::nullopt;
-    }
-    auto truths = aggregate_truths(prefix);
+    auto truths = aggregate_truths(
+        prepare_prefix(ShardOp::kCatdPrepare, prep_bytes, seed.weights));
     if (!truths.has_value()) return std::nullopt;
     result.truths = std::move(*truths);
   } else if (!seed.truths.empty()) {
     if (!broadcast(ShardOp::kCatdPrepare, prep_bytes)) return std::nullopt;
     result.truths = seed.truths;
   } else {
-    BatchPrefixFn prefix;
-    if (batched) {
-      prefix = [&](std::size_t) {
-        return Batch{BatchItem{ShardOp::kCatdPrepare, prep_bytes}};
-      };
-    } else {
-      if (!broadcast(ShardOp::kCatdPrepare, prep_bytes)) return std::nullopt;
-    }
-    auto columns = gather_columns(prefix);
+    auto columns = gather_columns(
+        every_shard({BatchItem{ShardOp::kCatdPrepare, prep_bytes}}));
     if (!columns.has_value()) return std::nullopt;
     result.truths.resize(N);
     for (std::size_t n = 0; n < N; ++n) {
@@ -1089,19 +1001,10 @@ std::optional<truth::Result> Coordinator::run_catd(
   for (std::size_t it = 1; it <= c.convergence.max_iterations; ++it) {
     TruthsBody req;
     req.truths = result.truths;
-    // Batched: the weight update rides each shard's aggregate hop
-    // (4 -> 2 msgs/shard/iteration).
-    BatchPrefixFn weights_prefix;
-    if (batched) {
-      const std::vector<std::uint8_t> req_bytes = req.encode();
-      weights_prefix = [req_bytes](std::size_t) {
-        return Batch{BatchItem{ShardOp::kCatdWeights, req_bytes}};
-      };
-    } else {
-      if (!broadcast(ShardOp::kCatdWeights, req.encode())) return std::nullopt;
-    }
-
-    auto next = aggregate_truths(weights_prefix);
+    // The weight update rides each shard's aggregate hop
+    // (2 msgs/shard/iteration).
+    auto next = aggregate_truths(
+        every_shard({BatchItem{ShardOp::kCatdWeights, req.encode()}}));
     if (!next.has_value()) return std::nullopt;
     const double change = truth::truth_change(result.truths, *next);
     result.truths = std::move(*next);
@@ -1122,18 +1025,10 @@ std::optional<truth::Result> Coordinator::run_catd(
 std::optional<truth::Result> Coordinator::run_mean() {
   truth::Result result;
   mark_iterate_begin();
-  BatchPrefixFn prefix;
-  if (config_.batch_collectives) {
-    WeightsBody uniform;
-    uniform.uniform = true;
-    const std::vector<std::uint8_t> uniform_bytes = uniform.encode();
-    prefix = [uniform_bytes](std::size_t) {
-      return Batch{BatchItem{ShardOp::kSetWeights, uniform_bytes}};
-    };
-  } else {
-    if (!set_weights_uniform()) return std::nullopt;
-  }
-  auto truths = aggregate_truths(prefix);
+  WeightsBody uniform;
+  uniform.uniform = true;
+  auto truths = aggregate_truths(
+      every_shard({BatchItem{ShardOp::kSetWeights, uniform.encode()}}));
   if (!truths.has_value()) return std::nullopt;
   mark_iterate_end();
   result.truths = std::move(*truths);
@@ -1167,25 +1062,13 @@ std::optional<truth::Result> Coordinator::run_majority() {
   prep.num_labels = L;
   prep.min_disagreement_fraction =
       categorical::WeightedVotingConfig{}.min_disagreement_fraction;
-  const bool batched = config_.batch_collectives;
-  BatchPrefixFn prefix;
-  if (batched) {
-    WeightsBody uniform;
-    uniform.uniform = true;
-    const std::vector<std::uint8_t> prep_bytes = prep.encode();
-    const std::vector<std::uint8_t> uniform_bytes = uniform.encode();
-    prefix = [prep_bytes, uniform_bytes](std::size_t) {
-      return Batch{BatchItem{ShardOp::kVotePrepare, prep_bytes},
-                   BatchItem{ShardOp::kSetWeights, uniform_bytes}};
-    };
-  } else {
-    if (!broadcast(ShardOp::kVotePrepare, prep.encode())) return std::nullopt;
-  }
 
   truth::Result result;
   mark_iterate_begin();
-  if (!batched && !set_weights_uniform()) return std::nullopt;
-  auto scores = vote_scores_chain(L, prefix);
+  // No seed weights: [prepare, uniform weights] ride the one score chain.
+  const std::vector<double> no_seed;
+  auto scores = vote_scores_chain(
+      L, prepare_prefix(ShardOp::kVotePrepare, prep.encode(), no_seed));
   if (!scores.has_value()) return std::nullopt;
   mark_iterate_end();
   const std::vector<categorical::Label> truths =
@@ -1213,8 +1096,6 @@ std::optional<truth::Result> Coordinator::run_vote(
   VotePrepareBody prep;
   prep.num_labels = L;
   prep.min_disagreement_fraction = v.min_disagreement_fraction;
-  const bool batched = config_.batch_collectives;
-  const std::vector<std::uint8_t> prep_bytes = prep.encode();
 
   std::vector<categorical::Label> truths;
   if (!seed.truths.empty()) {
@@ -1222,29 +1103,11 @@ std::optional<truth::Result> Coordinator::run_vote(
     // irrelevant on this path (the first iteration overwrites them before
     // any fold reads them), exactly like the in-process driver. There is no
     // following chain to fold the prepare into, so broadcast it plain.
-    if (!broadcast(ShardOp::kVotePrepare, prep_bytes)) return std::nullopt;
+    if (!broadcast(ShardOp::kVotePrepare, prep.encode())) return std::nullopt;
     truths = truth::labels_from_doubles(seed.truths, L);
   } else {
-    WeightsBody uniform;
-    uniform.uniform = true;
-    BatchPrefixFn prefix;
-    if (batched) {
-      prefix = [&](std::size_t i) {
-        Batch items;
-        items.push_back(BatchItem{ShardOp::kVotePrepare, prep_bytes});
-        items.push_back(BatchItem{ShardOp::kSetWeights,
-                                  seed.weights.empty()
-                                      ? uniform.encode()
-                                      : weights_slice_body(seed.weights, i)});
-        return items;
-      };
-    } else {
-      if (!broadcast(ShardOp::kVotePrepare, prep_bytes)) return std::nullopt;
-      const bool ok = seed.weights.empty() ? set_weights_uniform()
-                                           : set_weights_explicit(seed.weights);
-      if (!ok) return std::nullopt;
-    }
-    auto scores = vote_scores_chain(L, prefix);
+    auto scores = vote_scores_chain(
+        L, prepare_prefix(ShardOp::kVotePrepare, prep.encode(), seed.weights));
     if (!scores.has_value()) return std::nullopt;
     truths = categorical::truths_from_scores(*scores, N, L);
   }
@@ -1254,18 +1117,15 @@ std::optional<truth::Result> Coordinator::run_vote(
   for (std::size_t it = 1; it <= v.max_iterations; ++it) {
     // Disagreement chain: the running total threads through the shards,
     // continuing the canonical block-chained sum across the fleet.
-    double total = 0.0;
-    for (net::NodeId shard : live_nodes()) {
-      VoteDisagreeBody req;
-      req.truths = truths;
-      req.total = total;
-      auto reply = call(shard, ShardOp::kVoteDisagree, req.encode());
-      if (!reply.has_value()) return std::nullopt;
-      auto resp = decode_or_fail<CrhTotalBody>(shard, *reply,
-                                               malformed_by_node_,
-                                               failed_shard_);
-      if (!resp.has_value()) return std::nullopt;
-      total = resp->total;
+    VoteDisagreeBody disagree;
+    disagree.truths = truths;
+    if (!chain<CrhTotalBody>(
+            ShardOp::kVoteDisagree, {}, [&] { return disagree.encode(); },
+            [&](const CrhTotalBody& reply) {
+              disagree.total = reply.total;
+              return true;
+            })) {
+      return std::nullopt;
     }
     // Broadcast even a non-positive total: the shards then land on uniform
     // weights, matching the in-process unanimity short-circuit bit for bit.
@@ -1273,26 +1133,17 @@ std::optional<truth::Result> Coordinator::run_vote(
     // update into — the decision is known before the frame shape is chosen,
     // never speculated.)
     CrhTotalBody tot;
-    tot.total = total;
-    if (total <= 0.0) {
+    tot.total = disagree.total;
+    if (tot.total <= 0.0) {
       if (!broadcast(ShardOp::kVoteWeights, tot.encode())) return std::nullopt;
       result.iterations = it;
       result.converged = true;
       break;
     }
-    // Batched: the weight update rides each shard's score-chain hop
-    // (6 -> 4 msgs/shard/iteration).
-    BatchPrefixFn weights_prefix;
-    if (batched) {
-      const std::vector<std::uint8_t> tot_bytes = tot.encode();
-      weights_prefix = [tot_bytes](std::size_t) {
-        return Batch{BatchItem{ShardOp::kVoteWeights, tot_bytes}};
-      };
-    } else {
-      if (!broadcast(ShardOp::kVoteWeights, tot.encode())) return std::nullopt;
-    }
-
-    auto scores = vote_scores_chain(L, weights_prefix);
+    // The weight update rides each shard's score-chain hop
+    // (4 msgs/shard/iteration).
+    auto scores = vote_scores_chain(
+        L, every_shard({BatchItem{ShardOp::kVoteWeights, tot.encode()}}));
     if (!scores.has_value()) return std::nullopt;
     std::vector<categorical::Label> next =
         categorical::truths_from_scores(*scores, N, L);

@@ -10,6 +10,13 @@
 // statistic threaded through the shards as a chained fold (stats_wire.h) and
 // every per-user pass executed by the owning shard's local kernels.
 //
+// Wire shape: an op that only prepares a shard for the next collective
+// (method prepare, seed weights, the per-iteration weight update or M-step)
+// rides that collective's frame to each shard as a kBatch under one op id,
+// so an iteration costs 4 frames per shard for CRH and weighted vote and 2
+// for GTM and CATD. Only an op with no following collective (warm-truth
+// prepares, the vote unanimity update) is broadcast as its own frame.
+//
 // Failure model: every RPC has a timeout; a timed-out request is resent with
 // the SAME op id (shards execute exactly-once behind a monotonic op-id
 // watermark: equal ids replay the memoized response, older ids — delayed
@@ -62,13 +69,6 @@ struct CoordinatorConfig {
   net::RpcPolicy rpc;
   /// Seed each round from the previous successful round (stable-id remap).
   bool warm_start = false;
-  /// Coalesce broadcast ops into the frames of the collective that follows
-  /// them (one kBatch per shard, one op_id per batch) and pipeline the
-  /// independent round-close collectives. Bitwise identical to the unbatched
-  /// protocol: a folded op only mutates shard-local registers consumed by
-  /// that same shard's own fold, so execution order across shards cannot
-  /// change the chain's bits. Off reproduces the one-frame-per-op wire shape.
-  bool batch_collectives = true;
 };
 
 /// Which method the coordinator drives, with its full configuration (the
@@ -253,17 +253,37 @@ class Coordinator final : public net::Node {
   bool pump();
 
   using Batch = std::vector<BatchItem>;
-  /// Batched-mode coalescing hook: the sub-ops to fold ahead of shard
-  /// `index`'s next chain-hop or gather frame. They execute before the main
-  /// op inside the same exactly-once unit (one op_id for the whole batch).
-  /// An unset function (the default) keeps the plain one-frame-per-op path.
+  /// The sub-ops to fold ahead of plan index `index`'s chain-hop or gather
+  /// frame. They execute before the main op inside the same exactly-once
+  /// unit (one kBatch frame, one op_id). A folded op only mutates
+  /// shard-local registers consumed by that same shard's own fold, so
+  /// execution order across shards cannot change the chain's bits. Unset,
+  /// or empty for a shard, sends that shard the plain op.
   using BatchPrefixFn = std::function<Batch(std::size_t)>;
 
-  /// One chain hop to `shard`: plain `op` when `prefix_of` is unset or empty,
-  /// else a kBatch frame [prefix..., op] whose last reply body is returned.
+  /// [prepare, kSetWeights] ahead of each shard's first fold hop: the
+  /// weights are the plan-range slice of `weights`, or uniform when it is
+  /// empty. `weights` is read by reference and must outlive the collective.
+  BatchPrefixFn prepare_prefix(ShardOp prepare,
+                               std::vector<std::uint8_t> prepare_body,
+                               const std::vector<double>& weights) const;
+  /// The same `items` ahead of every shard's frame.
+  static BatchPrefixFn every_shard(Batch items);
+
+  /// One chain hop to `shard` (plan index `index`): plain `op` when
+  /// `prefix_of` is unset or yields nothing, else a kBatch frame
+  /// [prefix..., op] whose last reply body is returned.
   std::optional<std::vector<std::uint8_t>> chain_call(
       net::NodeId shard, std::size_t index, ShardOp op,
       std::vector<std::uint8_t> body, const BatchPrefixFn& prefix_of);
+  /// The one chained fold every sequential collective runs: walks live_ in
+  /// ascending plan order, sends each shard `op` with body `request()`
+  /// through chain_call, decodes its reply as `Reply` and passes it to
+  /// `absorb`, which carries the accumulator on (false = malformed reply).
+  /// False on any shard failure, with failed_shard_ set.
+  template <typename Reply, typename Request, typename Absorb>
+  bool chain(ShardOp op, const BatchPrefixFn& prefix_of,
+             const Request& request, const Absorb& absorb);
   /// Encoded WeightsBody slice of `global` for shard `i` (plan user range).
   std::vector<std::uint8_t> weights_slice_body(
       const std::vector<double>& global, std::size_t i) const;
@@ -274,21 +294,19 @@ class Coordinator final : public net::Node {
   std::size_t live_num_users() const;
 
   // Statistics collectives over the live shards (ascending plan order).
-  bool set_weights_uniform();
-  bool set_weights_explicit(const std::vector<double>& global);
-  std::optional<truth::AggregateStats> aggregate_chain(
-      const BatchPrefixFn& prefix_of = {});
   std::optional<std::vector<double>> aggregate_truths(
-      const BatchPrefixFn& prefix_of = {});
+      const BatchPrefixFn& prefix_of);
   std::optional<std::vector<RunningStats>> moments_chain();
   std::optional<std::vector<std::vector<double>>> gather_columns(
       const BatchPrefixFn& prefix_of = {});
+  /// Weight slices in one kBatch [kCollectWeights, kGetTelemetry] per shard.
   std::optional<std::vector<double>> collect_weights();
-  /// Chained categorical score fold (kVoteScores) over the active shards.
+  /// Chained categorical score fold (kVoteScores) over the live shards.
   std::optional<std::vector<double>> vote_scores_chain(
-      std::size_t num_labels, const BatchPrefixFn& prefix_of = {});
-  /// kGetTelemetry over the active shards into telemetry_by_node_. No-op when
-  /// the batched collect_weights already piggybacked it this round.
+      std::size_t num_labels, const BatchPrefixFn& prefix_of);
+  /// kGetTelemetry over the live shards into telemetry_by_node_. No-op when
+  /// collect_weights already piggybacked it this round (the iterative
+  /// methods); mean, median, majority and the uncovered close pay the RPC.
   bool collect_telemetry();
 
   // Per-method drivers: the exact run_impl control flow over the wire.

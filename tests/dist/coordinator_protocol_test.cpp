@@ -1,6 +1,6 @@
 // Failure-model behaviours of the distributed coordinator: straggler timeout
-// and same-op-id resend (exactly-once on the shard), shard failure aborting
-// the round and shrinking the roster, rejoin with the stable-id warm-start
+// and same-op-id resend (exactly-once on the shard), shard failure closing
+// the round degraded and shrinking the roster, rejoin with the stable-id warm-start
 // remap across churn, and byzantine robustness — a truncated protocol message
 // at ANY byte offset is counted, never fatal, on both ends.
 #include <gtest/gtest.h>
@@ -40,6 +40,24 @@ data::Dataset random_dataset(std::uint64_t seed, std::size_t users,
 MethodSpec crh_spec() {
   MethodSpec spec;
   spec.kind = MethodSpec::Kind::kCrh;
+  return spec;
+}
+
+MethodSpec spec_for(const std::string& name) {
+  MethodSpec spec;
+  if (name == "crh") {
+    spec.kind = MethodSpec::Kind::kCrh;
+  } else if (name == "gtm") {
+    spec.kind = MethodSpec::Kind::kGtm;
+  } else if (name == "catd") {
+    spec.kind = MethodSpec::Kind::kCatd;
+  } else if (name == "mean") {
+    spec.kind = MethodSpec::Kind::kMean;
+  } else if (name == "median") {
+    spec.kind = MethodSpec::Kind::kMedian;
+  } else {
+    ADD_FAILURE() << "unknown method " << name;
+  }
   return spec;
 }
 
@@ -200,12 +218,16 @@ data::ObservationMatrix submatrix_of_ranges(
   return builder.finalize();
 }
 
-TEST(DistributedProtocol, DeadShardClosesDegradedOverSurvivors) {
-  // Before the degraded-close change this choreography aborted the whole
-  // round (completed=false, result scrubbed). Now the failed shard is
-  // excluded mid-round and the close re-runs over the survivors.
+class DegradedClose : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(DegradedClose, DeadShardClosesDegradedOverSurvivors) {
+  // The failed shard is excluded mid-round and the close re-runs over the
+  // survivors, for every method: each collective walks only the live
+  // shards, so no method aborts where another closes degraded.
+  const std::string name = GetParam();
+  const MethodSpec spec = spec_for(name);
   const data::Dataset dataset = random_dataset(13, 48, 4, 0.3);
-  Fleet fleet(3, crh_spec(), dataset.num_objects());
+  Fleet fleet(3, spec, dataset.num_objects());
   ASSERT_TRUE(
       fleet.coordinator->begin_round(1, participant_ids(dataset.num_users())));
   send_dataset(fleet, dataset, 1);
@@ -219,9 +241,9 @@ TEST(DistributedProtocol, DeadShardClosesDegradedOverSurvivors) {
   fleet.shards[1]->fail();  // crash: state gone, never comes back
   const DistributedOutcome outcome = fleet.coordinator->close_round();
 
-  EXPECT_TRUE(outcome.completed);
-  ASSERT_TRUE(outcome.aggregated);
-  EXPECT_TRUE(outcome.degraded);
+  ASSERT_TRUE(outcome.completed) << name;
+  ASSERT_TRUE(outcome.aggregated) << name;
+  EXPECT_TRUE(outcome.degraded) << name;
   EXPECT_FALSE(outcome.failed_shard.has_value());
   ASSERT_EQ(outcome.excluded_shards.size(), 1u);
   EXPECT_EQ(outcome.excluded_shards[0], kShardBase + 1);
@@ -236,10 +258,10 @@ TEST(DistributedProtocol, DeadShardClosesDegradedOverSurvivors) {
   // survivors' concatenated sub-matrices at the surviving shard count.
   const data::ObservationMatrix survivors =
       submatrix_of_ranges(dataset.observations, {{0, 16}, {32, 48}});
-  const truth::Result degraded_reference =
-      make_method(crh_spec())->run_sharded(
-          data::ShardedMatrix::partition(survivors, 2, kTestBlock));
-  expect_bitwise_equal(degraded_reference, outcome.result, "degraded close");
+  const truth::Result degraded_reference = make_method(spec)->run_sharded(
+      data::ShardedMatrix::partition(survivors, 2, kTestBlock));
+  expect_bitwise_equal(degraded_reference, outcome.result,
+                       name + " degraded close");
 
   // The retry round re-plans over the survivors, re-routing the dead shard's
   // users, and must land on the canonical (K-invariant) result.
@@ -249,10 +271,17 @@ TEST(DistributedProtocol, DeadShardClosesDegradedOverSurvivors) {
   const DistributedOutcome retry = fleet.coordinator->close_round();
   ASSERT_TRUE(retry.aggregated);
   EXPECT_FALSE(retry.degraded);
-  const truth::Result reference = make_method(crh_spec())->run_sharded(
+  const truth::Result reference = make_method(spec)->run_sharded(
       data::ShardedMatrix::partition(dataset.observations, 2, kTestBlock));
-  expect_bitwise_equal(reference, retry.result, "post-failure retry");
+  expect_bitwise_equal(reference, retry.result, name + " post-failure retry");
 }
+
+INSTANTIATE_TEST_SUITE_P(AllMethods, DegradedClose,
+                         ::testing::Values("crh", "gtm", "catd", "mean",
+                                           "median"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
 
 TEST(DistributedProtocol, DegradedRoundRecordCarriesLossAccounting) {
   // The campaign-facing projection: degraded/excluded/reports_lost flow

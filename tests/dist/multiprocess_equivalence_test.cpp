@@ -95,6 +95,10 @@ struct Workload {
     return continuous ? continuous->num_objects()
                       : labels->claims.num_objects();
   }
+  /// The claim matrix of either kind (labels ride as exact doubles).
+  const data::ObservationMatrix& claims() const {
+    return continuous ? continuous->observations : labels->claims;
+  }
 };
 
 Workload workload_for(const MethodSpec& spec, std::uint64_t seed,
@@ -282,10 +286,6 @@ truth::Result run_simulator_round(std::size_t k, const MethodSpec& spec,
   config.id = kCoordinatorId;
   config.num_objects = workload.num_objects();
   config.block_size = kTestBlock;
-  // The reference deliberately runs the UNBATCHED wire protocol: matching it
-  // bitwise from a batched socket fleet proves kBatch coalescing changes the
-  // frame shapes but not one bit of the arithmetic.
-  config.batch_collectives = false;
   Coordinator coordinator(config, spec, network);
   std::vector<std::unique_ptr<ShardNode>> shards;
   for (std::size_t i = 0; i < k; ++i) {
@@ -365,9 +365,13 @@ TEST_P(MultiProcessEquivalence, UdsFleetMatchesSimulatorBitwiseAtEveryK) {
     EXPECT_GT(outcome.network.bytes_sent, 0u) << label;
     EXPECT_GT(outcome.network.bytes_delivered, 0u) << label;
 
-    // The tentpole claim: identical bits to the simulator fleet at same K.
+    // Identical bits to the simulator fleet at the same K,
+    // and to the canonical in-process run_sharded reference.
     const truth::Result reference = run_simulator_round(k, spec, workload);
     expect_bitwise_equal(reference, outcome.result, label);
+    const truth::Result in_process = make_method(spec)->run_sharded(
+        data::ShardedMatrix::partition(workload.claims(), k, kTestBlock));
+    expect_bitwise_equal(in_process, outcome.result, label + " in-process");
   }
 }
 
