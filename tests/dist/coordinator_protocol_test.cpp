@@ -218,13 +218,10 @@ data::ObservationMatrix submatrix_of_ranges(
   return builder.finalize();
 }
 
-class DegradedClose : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(DegradedClose, DeadShardClosesDegradedOverSurvivors) {
-  // The failed shard is excluded mid-round and the close re-runs over the
-  // survivors, for every method: each collective walks only the live
-  // shards, so no method aborts where another closes degraded.
-  const std::string name = GetParam();
+// The failed shard is excluded mid-round and the close re-runs over the
+// survivors, for every method: each collective walks only the live shards, so
+// no method aborts where another closes degraded.
+void expect_dead_shard_closes_degraded(const std::string& name) {
   const MethodSpec spec = spec_for(name);
   const data::Dataset dataset = random_dataset(13, 48, 4, 0.3);
   Fleet fleet(3, spec, dataset.num_objects());
@@ -276,9 +273,21 @@ TEST_P(DegradedClose, DeadShardClosesDegradedOverSurvivors) {
   expect_bitwise_equal(reference, retry.result, name + " post-failure retry");
 }
 
+TEST(DistributedProtocol, DeadShardClosesDegradedOverSurvivors) {
+  expect_dead_shard_closes_degraded("crh");
+}
+
+// The same choreography for the other methods. GTM's posterior chain once
+// walked every planned shard instead of the live ones, so this round aborted
+// (completed=false) for GTM alone.
+class DegradedClose : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(DegradedClose, DeadShardClosesDegradedOverSurvivors) {
+  expect_dead_shard_closes_degraded(GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllMethods, DegradedClose,
-                         ::testing::Values("crh", "gtm", "catd", "mean",
-                                           "median"),
+                         ::testing::Values("gtm", "catd", "mean", "median"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
