@@ -31,7 +31,12 @@ _THREAD_ROW_RE = re.compile(r"workers:|threads:")
 
 
 def load_timings(path):
-    """Maps benchmark name -> real_time in ns, skipping aggregate rows.
+    """Maps benchmark name -> real_time in ns.
+
+    A benchmark run with --benchmark_repetitions has one iteration row per
+    repetition plus mean/median/stddev/cv aggregate rows; its median row is
+    the one compared. A benchmark without repetitions has only its iteration
+    row, which is used as is.
 
     Returns (timings, context) where context is the google-benchmark context
     object (host properties plus any AddCustomContext entries).
@@ -39,19 +44,25 @@ def load_timings(path):
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     context = doc.get("context", {})
-    timings = {}
+    iterations = {}
+    medians = {}
     for bench in doc.get("benchmarks", []):
-        # Repeated runs emit mean/median/stddev aggregate rows; compare only
-        # plain iteration rows (run_type is absent in very old versions).
-        if bench.get("run_type", "iteration") != "iteration":
+        # run_type is absent in very old versions: plain iteration rows.
+        run_type = bench.get("run_type", "iteration")
+        if run_type == "iteration":
+            target = iterations
+        elif run_type == "aggregate" and bench.get("aggregate_name") == "median":
+            target = medians
+        else:
             continue
         unit = bench.get("time_unit", "ns")
         if unit not in _UNIT_TO_NS:
             print(f"warning: {bench['name']} has unknown time_unit "
                   f"'{unit}', skipping")
             continue
-        timings[bench["name"]] = float(bench["real_time"]) * _UNIT_TO_NS[unit]
-    return timings, context
+        name = bench.get("run_name", bench["name"])
+        target[name] = float(bench["real_time"]) * _UNIT_TO_NS[unit]
+    return {**iterations, **medians}, context
 
 
 def main():

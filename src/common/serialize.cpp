@@ -1,6 +1,7 @@
 #include "common/serialize.h"
 
 #include <bit>
+#include <cstring>
 #include <limits>
 
 namespace dptd {
@@ -41,7 +42,14 @@ void Encoder::write_string(const std::string& s) {
 
 void Encoder::write_doubles(std::span<const double> xs) {
   write_varint(xs.size());
-  for (double x : xs) write_double(x);
+  if constexpr (std::endian::native == std::endian::little) {
+    // The wire format is little-endian IEEE-754 bits: on a little-endian
+    // host the array's memory already is its encoding.
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(xs.data());
+    buf_.insert(buf_.end(), bytes, bytes + sizeof(double) * xs.size());
+  } else {
+    for (double x : xs) write_double(x);
+  }
 }
 
 void Encoder::write_bytes(std::span<const std::uint8_t> bytes) {
@@ -114,12 +122,25 @@ std::vector<std::uint8_t> Decoder::read_bytes() {
 }
 
 std::vector<double> Decoder::read_doubles() {
+  std::vector<double> xs;
+  read_doubles_into(xs);
+  return xs;
+}
+
+void Decoder::read_doubles_into(std::vector<double>& out) {
   const std::uint64_t len = read_varint();
   if (len > kMaxContainerLength) throw DecodeError("vector too long");
-  std::vector<double> xs;
-  xs.reserve(static_cast<std::size_t>(len));
-  for (std::uint64_t i = 0; i < len; ++i) xs.push_back(read_double());
-  return xs;
+  const std::size_t count = static_cast<std::size_t>(len);
+  need(sizeof(double) * count);
+  out.resize(count);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (count > 0) {
+      std::memcpy(out.data(), data_.data() + pos_, sizeof(double) * count);
+    }
+    pos_ += sizeof(double) * count;
+  } else {
+    for (double& x : out) x = read_double();
+  }
 }
 
 }  // namespace dptd

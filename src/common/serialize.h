@@ -56,6 +56,8 @@ class Decoder {
   double read_double();
   std::string read_string();
   std::vector<double> read_doubles();
+  /// read_doubles into `out`, reusing its capacity.
+  void read_doubles_into(std::vector<double>& out);
   std::vector<std::uint8_t> read_bytes();  // mirror of write_bytes
 
   std::size_t remaining() const { return data_.size() - pos_; }

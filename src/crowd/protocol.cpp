@@ -134,9 +134,11 @@ StatsEnvelope StatsEnvelope::decode(std::span<const std::uint8_t> bytes) {
   if (length > dec.remaining()) {
     throw DecodeError("StatsEnvelope: body length exceeds payload");
   }
-  msg.body.resize(static_cast<std::size_t>(length));
-  for (std::size_t i = 0; i < msg.body.size(); ++i) msg.body[i] = dec.read_u8();
-  if (!dec.done()) throw DecodeError("StatsEnvelope: trailing bytes");
+  if (length != dec.remaining()) {
+    throw DecodeError("StatsEnvelope: trailing bytes");
+  }
+  msg.body.assign(bytes.end() - static_cast<std::ptrdiff_t>(length),
+                  bytes.end());
   return msg;
 }
 

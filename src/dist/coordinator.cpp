@@ -197,14 +197,15 @@ bool Coordinator::pump() {
 }
 
 std::optional<std::vector<std::vector<std::uint8_t>>> Coordinator::call_all(
-    ShardOp op, const std::vector<net::NodeId>& targets,
-    const std::function<std::vector<std::uint8_t>(std::size_t)>& body_of) {
+    const std::vector<net::NodeId>& targets,
+    const std::function<BatchItem(std::size_t)>& item_of) {
   std::vector<std::uint64_t> ids(targets.size());
   for (std::size_t i = 0; i < targets.size(); ++i) {
+    BatchItem item = item_of(i);
     crowd::StatsEnvelope env;
     env.op_id = ++next_op_id_;
-    env.op = static_cast<std::uint8_t>(op);
-    env.body = body_of(i);
+    env.op = static_cast<std::uint8_t>(item.op);
+    env.body = std::move(item.body);
     ids[i] = env.op_id;
     Pending pending;
     pending.shard = targets[i];
@@ -224,17 +225,10 @@ std::optional<std::vector<std::vector<std::uint8_t>>> Coordinator::call_all(
   return out;
 }
 
-std::optional<std::vector<std::uint8_t>> Coordinator::call(
-    net::NodeId target, ShardOp op, std::vector<std::uint8_t> body) {
-  auto replies = call_all(op, {target},
-                          [&](std::size_t) { return std::move(body); });
-  if (!replies.has_value()) return std::nullopt;
-  return std::move((*replies)[0]);
-}
-
 bool Coordinator::broadcast(ShardOp op,
                             const std::vector<std::uint8_t>& body) {
-  return call_all(op, live_nodes(), [&](std::size_t) { return body; })
+  return call_all(live_nodes(),
+                  [&](std::size_t) { return BatchItem{op, body}; })
       .has_value();
 }
 
@@ -269,6 +263,22 @@ std::optional<T> decode_or_fail(
   }
 }
 
+/// kVoteScores reply adapter: checks the body is one encoded score table
+/// (length prefix plus exactly that many doubles) without decoding it, so
+/// the chain can forward the bytes as they are.
+struct EncodedScores {
+  std::span<const std::uint8_t> bytes;
+  std::size_t size = 0;
+  static EncodedScores decode(std::span<const std::uint8_t> bytes) {
+    Decoder dec(bytes);
+    const std::uint64_t size = dec.read_varint();
+    if (size > dec.remaining() / 8 || dec.remaining() != size * 8) {
+      throw DecodeError("VoteScoresBody: length mismatch");
+    }
+    return EncodedScores{bytes, static_cast<std::size_t>(size)};
+  }
+};
+
 /// kMoments reply adapter, so the moments fold decodes like every other body.
 struct MomentsBody {
   std::vector<RunningStats> moments;
@@ -281,6 +291,42 @@ struct MomentsBody {
 
 // ---------------------------------------------------------------------------
 // Statistics collectives
+
+std::optional<std::vector<Coordinator::FrameReplies>> Coordinator::call_frames(
+    const std::vector<net::NodeId>& targets,
+    const std::function<Batch(std::size_t)>& items_of) {
+  std::vector<std::vector<ShardOp>> ops(targets.size());
+  auto replies = call_all(targets, [&](std::size_t j) {
+    BatchBody batch;
+    batch.items = items_of(j);
+    for (const BatchItem& item : batch.items) ops[j].push_back(item.op);
+    if (batch.items.size() == 1) return std::move(batch.items[0]);
+    return BatchItem{ShardOp::kBatch, batch.encode()};
+  });
+  if (!replies.has_value()) return std::nullopt;
+  std::vector<FrameReplies> out(targets.size());
+  for (std::size_t j = 0; j < targets.size(); ++j) {
+    if (ops[j].size() == 1) {
+      out[j].push_back(std::move((*replies)[j]));
+    } else {
+      auto batched = decode_or_fail<BatchReplyBody>(
+          targets[j], (*replies)[j], malformed_by_node_, failed_shard_);
+      if (!batched.has_value() || batched->bodies.size() != ops[j].size()) {
+        failed_shard_ = targets[j];
+        return std::nullopt;
+      }
+      out[j] = std::move(batched->bodies);
+    }
+    for (std::size_t k = 0; k < ops[j].size(); ++k) {
+      if (ops[j][k] != ShardOp::kGetTelemetry) continue;
+      auto telemetry = decode_or_fail<TelemetryBody>(
+          targets[j], out[j][k], malformed_by_node_, failed_shard_);
+      if (!telemetry.has_value()) return std::nullopt;
+      telemetry_by_node_[targets[j]] = *telemetry;
+    }
+  }
+  return out;
+}
 
 Coordinator::BatchPrefixFn Coordinator::prepare_prefix(
     ShardOp prepare, std::vector<std::uint8_t> prepare_body,
@@ -300,25 +346,28 @@ Coordinator::BatchPrefixFn Coordinator::every_shard(Batch items) {
   return [items = std::move(items)](std::size_t) { return items; };
 }
 
-std::optional<std::vector<std::uint8_t>> Coordinator::chain_call(
-    net::NodeId shard, std::size_t index, ShardOp op,
-    std::vector<std::uint8_t> body, const BatchPrefixFn& prefix_of) {
-  if (!prefix_of) return call(shard, op, std::move(body));
-  Batch items = prefix_of(index);
-  if (items.empty()) return call(shard, op, std::move(body));
-  items.push_back(BatchItem{op, std::move(body)});
-  BatchBody batch;
-  batch.items = std::move(items);
-  auto reply = call(shard, ShardOp::kBatch, batch.encode());
-  if (!reply.has_value()) return std::nullopt;
-  auto decoded = decode_or_fail<BatchReplyBody>(shard, *reply,
-                                                malformed_by_node_,
-                                                failed_shard_);
-  if (!decoded.has_value() || decoded->bodies.size() != batch.items.size()) {
-    failed_shard_ = shard;
-    return std::nullopt;
-  }
-  return std::move(decoded->bodies.back());
+Coordinator::BatchPrefixFn Coordinator::with_telemetry(
+    BatchPrefixFn prefix_of) {
+  return [prefix_of = std::move(prefix_of)](std::size_t i) {
+    Batch items = prefix_of ? prefix_of(i) : Batch{};
+    items.push_back(BatchItem{ShardOp::kGetTelemetry, {}});
+    return items;
+  };
+}
+
+std::optional<std::vector<std::vector<std::uint8_t>>> Coordinator::call_live(
+    ShardOp op, const BatchPrefixFn& prefix_of,
+    const std::vector<std::uint8_t>& body) {
+  auto replies = call_frames(live_nodes(), [&](std::size_t j) {
+    Batch items = prefix_of ? prefix_of(live_[j]) : Batch{};
+    items.push_back(BatchItem{op, body});
+    return items;
+  });
+  if (!replies.has_value()) return std::nullopt;
+  std::vector<std::vector<std::uint8_t>> out;
+  out.reserve(replies->size());
+  for (FrameReplies& frame : *replies) out.push_back(std::move(frame.back()));
+  return out;
 }
 
 template <typename Reply, typename Request, typename Absorb>
@@ -326,10 +375,14 @@ bool Coordinator::chain(ShardOp op, const BatchPrefixFn& prefix_of,
                         const Request& request, const Absorb& absorb) {
   for (std::size_t i : live_) {
     const net::NodeId shard = active_[i];
-    auto reply = chain_call(shard, i, op, request(), prefix_of);
-    if (!reply.has_value()) return false;
-    auto body = decode_or_fail<Reply>(shard, *reply, malformed_by_node_,
-                                      failed_shard_);
+    auto replies = call_frames({shard}, [&](std::size_t) {
+      Batch items = prefix_of ? prefix_of(i) : Batch{};
+      items.push_back(BatchItem{op, request()});
+      return items;
+    });
+    if (!replies.has_value()) return false;
+    auto body = decode_or_fail<Reply>(shard, (*replies)[0].back(),
+                                      malformed_by_node_, failed_shard_);
     if (!body.has_value()) return false;
     if (!absorb(*body)) {
       failed_shard_ = shard;
@@ -337,6 +390,24 @@ bool Coordinator::chain(ShardOp op, const BatchPrefixFn& prefix_of,
     }
   }
   return true;
+}
+
+std::optional<double> Coordinator::block_chained_total(
+    ShardOp op, std::vector<std::uint8_t> body) {
+  auto replies = call_live(op, {}, body);
+  if (!replies.has_value()) return std::nullopt;
+  // Live shards are ascending and block-aligned: their blocks, in order, are
+  // the global blocks of the survivors' users.
+  double total = 0.0;
+  for (std::size_t j = 0; j < live_.size(); ++j) {
+    const net::NodeId shard = active_[live_[j]];
+    auto sums = decode_or_fail<BlockSumsBody>(shard, (*replies)[j],
+                                              malformed_by_node_,
+                                              failed_shard_);
+    if (!sums.has_value()) return std::nullopt;
+    total = truth::chain_block_sums(sums->sums, total);
+  }
+  return total;
 }
 
 std::vector<std::uint8_t> Coordinator::weights_slice_body(
@@ -351,12 +422,15 @@ std::vector<std::uint8_t> Coordinator::weights_slice_body(
 
 std::optional<std::vector<double>> Coordinator::aggregate_truths(
     const BatchPrefixFn& prefix_of) {
-  // Each shard continues the accumulator exactly where the previous one
-  // stopped, reproducing the in-process ascending-shard fold.
+  // Parallel step: every live shard runs its O(claims) pass at once and
+  // caches its block partials. Serial step: the accumulator hops through the
+  // shards in ascending order, each adding its cached partials exactly where
+  // the previous one stopped — the in-process ascending-shard fold.
+  if (!call_live(ShardOp::kAggregatePartials, prefix_of)) return std::nullopt;
   AggregateBody acc;
   acc.stats.reset(config_.num_objects);
   const bool ok = chain<AggregateBody>(
-      ShardOp::kAggregate, prefix_of, [&] { return acc.encode(); },
+      ShardOp::kAggregate, {}, [&] { return acc.encode(); },
       [&](AggregateBody& next) {
         if (next.stats.counts.size() != config_.num_objects) return false;
         acc = std::move(next);
@@ -367,6 +441,7 @@ std::optional<std::vector<double>> Coordinator::aggregate_truths(
 }
 
 std::optional<std::vector<RunningStats>> Coordinator::moments_chain() {
+  if (!call_live(ShardOp::kMomentsPartials, {})) return std::nullopt;
   std::vector<RunningStats> moments(config_.num_objects);
   const bool ok = chain<MomentsBody>(
       ShardOp::kMoments, {}, [&] { return encode_moments(moments); },
@@ -381,43 +456,21 @@ std::optional<std::vector<RunningStats>> Coordinator::moments_chain() {
 
 std::optional<std::vector<std::vector<double>>> Coordinator::gather_columns(
     const BatchPrefixFn& prefix_of) {
-  // The gather has no carried state, so prefixed frames still go out in
-  // parallel: each shard executes its prefix (shard-local mutations only)
-  // before its own gather, which no other shard's reply depends on.
-  std::optional<std::vector<std::vector<std::uint8_t>>> replies;
-  const std::vector<net::NodeId> targets = live_nodes();
-  if (prefix_of) {
-    replies = call_all(ShardOp::kBatch, targets, [&](std::size_t j) {
-      BatchBody batch;
-      batch.items = prefix_of(live_[j]);
-      batch.items.push_back(BatchItem{ShardOp::kGather, {}});
-      return batch.encode();
-    });
-  } else {
-    replies = call_all(ShardOp::kGather, targets,
-                       [](std::size_t) { return std::vector<std::uint8_t>{}; });
-  }
+  // The gather has no carried state: one parallel step, each shard running
+  // its prefix (shard-local mutations only) before its own gather.
+  auto replies = call_live(ShardOp::kGather, prefix_of);
   if (!replies.has_value()) return std::nullopt;
   const std::size_t N = config_.num_objects;
   std::vector<std::vector<double>> columns(N);
   // Fragments concatenated in ascending shard order ARE the global columns
   // in user order (shard ranges are contiguous and ascending; excluded
   // shards just leave their users out).
-  for (std::size_t j = 0; j < targets.size(); ++j) {
-    std::vector<std::uint8_t> frag_bytes = std::move((*replies)[j]);
-    if (prefix_of) {
-      auto batched = decode_or_fail<BatchReplyBody>(
-          targets[j], frag_bytes, malformed_by_node_, failed_shard_);
-      if (!batched.has_value() || batched->bodies.empty()) {
-        failed_shard_ = targets[j];
-        return std::nullopt;
-      }
-      frag_bytes = std::move(batched->bodies.back());
-    }
-    auto frag = decode_or_fail<GatherBody>(targets[j], frag_bytes,
+  for (std::size_t j = 0; j < live_.size(); ++j) {
+    const net::NodeId shard = active_[live_[j]];
+    auto frag = decode_or_fail<GatherBody>(shard, (*replies)[j],
                                            malformed_by_node_, failed_shard_);
     if (!frag.has_value() || frag->lengths.size() != N) {
-      failed_shard_ = targets[j];
+      failed_shard_ = shard;
       return std::nullopt;
     }
     std::size_t cursor = 0;
@@ -431,81 +484,43 @@ std::optional<std::vector<std::vector<double>>> Coordinator::gather_columns(
   return columns;
 }
 
-bool Coordinator::collect_telemetry() {
-  // collect_weights pipelines kGetTelemetry into its frames; if that already
-  // covered every live shard this round, skip the extra RPC.
-  const std::vector<net::NodeId> targets = live_nodes();
-  const bool collected =
-      !targets.empty() &&
-      std::all_of(targets.begin(), targets.end(), [&](net::NodeId shard) {
-        return telemetry_by_node_.contains(shard);
-      });
-  if (collected) return true;
-  auto replies = call_all(ShardOp::kGetTelemetry, targets,
-                          [](std::size_t) { return std::vector<std::uint8_t>{}; });
-  if (!replies.has_value()) return false;
-  for (std::size_t j = 0; j < targets.size(); ++j) {
-    auto body = decode_or_fail<TelemetryBody>(targets[j], (*replies)[j],
-                                              malformed_by_node_,
-                                              failed_shard_);
-    if (!body.has_value()) return false;
-    telemetry_by_node_[targets[j]] = *body;
-  }
-  return true;
-}
-
 std::optional<std::vector<double>> Coordinator::vote_scores_chain(
     std::size_t num_labels, const BatchPrefixFn& prefix_of) {
   // The score table threads through the shards in ascending order, each
   // continuing categorical::fold_label_scores exactly where the previous
-  // shard stopped.
-  VoteScoresBody acc;
-  acc.scores.assign(config_.num_objects * num_labels, 0.0);
-  const bool ok = chain<VoteScoresBody>(
-      ShardOp::kVoteScores, prefix_of, [&] { return acc.encode(); },
-      [&](VoteScoresBody& next) {
-        if (next.scores.size() != config_.num_objects * num_labels) {
-          return false;
-        }
-        acc = std::move(next);
+  // shard stopped. The table's encoding is the same on both legs of a hop,
+  // so each reply's bytes go out as the next request unchanged (kept in one
+  // reused buffer) and only the last one is decoded.
+  const std::size_t size = config_.num_objects * num_labels;
+  std::vector<std::uint8_t> acc =
+      VoteScoresBody::encode(std::vector<double>(size, 0.0));
+  const bool ok = chain<EncodedScores>(
+      ShardOp::kVoteScores, prefix_of, [&] { return acc; },
+      [&](const EncodedScores& next) {
+        if (next.size != size) return false;
+        acc.assign(next.bytes.begin(), next.bytes.end());
         return true;
       });
   if (!ok) return std::nullopt;
-  return std::move(acc.scores);
+  return VoteScoresBody::decode(acc).scores;
 }
 
 std::optional<std::vector<double>> Coordinator::collect_weights() {
-  // Pipeline the two independent round-close collectives in one frame per
-  // shard: the telemetry rides along, so close_round's collect_telemetry
-  // becomes a no-op. Both are reads — batching cannot change any bits.
+  // Pipeline the two independent round-close reads in one frame per shard:
+  // the telemetry rides along. Both are reads — batching cannot change any
+  // bits.
   const std::vector<net::NodeId> targets = live_nodes();
-  BatchBody batch;
-  batch.items.push_back(BatchItem{ShardOp::kCollectWeights, {}});
-  batch.items.push_back(BatchItem{ShardOp::kGetTelemetry, {}});
-  const std::vector<std::uint8_t> encoded = batch.encode();
-  auto replies = call_all(ShardOp::kBatch, targets,
-                          [&](std::size_t) { return encoded; });
+  const Batch frame{BatchItem{ShardOp::kCollectWeights, {}},
+                    BatchItem{ShardOp::kGetTelemetry, {}}};
+  auto replies =
+      call_frames(targets, [&](std::size_t) { return frame; });
   if (!replies.has_value()) return std::nullopt;
-  std::vector<std::vector<std::uint8_t>> slices(targets.size());
-  for (std::size_t j = 0; j < targets.size(); ++j) {
-    auto reply = decode_or_fail<BatchReplyBody>(
-        targets[j], (*replies)[j], malformed_by_node_, failed_shard_);
-    if (!reply.has_value() || reply->bodies.size() != 2) {
-      failed_shard_ = targets[j];
-      return std::nullopt;
-    }
-    auto telemetry = decode_or_fail<TelemetryBody>(
-        targets[j], reply->bodies[1], malformed_by_node_, failed_shard_);
-    if (!telemetry.has_value()) return std::nullopt;
-    telemetry_by_node_[targets[j]] = *telemetry;
-    slices[j] = std::move(reply->bodies[0]);
-  }
   // Surviving users only, concatenated ascending — on a degraded round this
   // is exactly the weight vector of the in-process survivor reference.
   std::vector<double> weights;
   weights.reserve(live_num_users());
   for (std::size_t j = 0; j < targets.size(); ++j) {
-    auto slice = decode_or_fail<WeightsBody>(targets[j], slices[j],
+    auto slice = decode_or_fail<WeightsBody>(targets[j], (*replies)[j][0],
                                              malformed_by_node_,
                                              failed_shard_);
     if (!slice.has_value() ||
@@ -546,7 +561,7 @@ bool Coordinator::begin_round(std::uint64_t round,
           it == malformed_by_node_.end() ? 0 : it->second;
     }
     const bool ok =
-        call_all(ShardOp::kSetup, active_,
+        call_all(active_,
                  [&](std::size_t i) {
                    SetupBody setup;
                    setup.round = round;
@@ -561,7 +576,7 @@ bool Coordinator::begin_round(std::uint64_t round,
                            static_cast<std::ptrdiff_t>(plan_.user_begin(i)),
                        participants.begin() +
                            static_cast<std::ptrdiff_t>(plan_.user_end(i)));
-                   return setup.encode();
+                   return BatchItem{ShardOp::kSetup, setup.encode()};
                  })
             .has_value();
     if (ok) {
@@ -649,14 +664,14 @@ DistributedOutcome Coordinator::close_round() {
 
   // One close attempt over the current live set: finalize (idempotent on the
   // shards, so a retried attempt re-serves summaries without re-ingesting),
-  // coverage, warm seed, method, telemetry.
+  // coverage, warm seed, method.
   enum class Attempt { kAggregated, kUncovered, kFailed };
   const auto attempt = [&]() -> Attempt {
     out.shard_stats.clear();
     out.warm_started = false;
-    auto summaries =
-        call_all(ShardOp::kFinalizeIngest, live_nodes(),
-                 [](std::size_t) { return std::vector<std::uint8_t>{}; });
+    auto summaries = call_all(live_nodes(), [](std::size_t) {
+      return BatchItem{ShardOp::kFinalizeIngest, {}};
+    });
     if (!summaries.has_value()) return Attempt::kFailed;
     std::vector<std::uint64_t> coverage(config_.num_objects, 0);
     for (std::size_t j = 0; j < live_.size(); ++j) {
@@ -679,6 +694,11 @@ DistributedOutcome Coordinator::close_round() {
           static_cast<std::size_t>(summary->rejected_reports);
       stats.invalid_labels = static_cast<std::size_t>(summary->invalid_labels);
       out.shard_stats.push_back(stats);
+      // Counters as of finalize; the method's last collective refreshes
+      // them, so only a round that skips aggregation reports these.
+      TelemetryBody& telemetry = telemetry_by_node_[node];
+      telemetry.stale_requests = summary->stale_requests;
+      telemetry.malformed_messages = summary->malformed_messages;
       for (std::size_t n = 0; n < coverage.size(); ++n) {
         coverage[n] += summary->object_counts[n];
       }
@@ -689,7 +709,6 @@ DistributedOutcome Coordinator::close_round() {
         // in-process servers. The warm state is left untouched.
         DPTD_LOG_WARN << "round " << round_
                       << ": uncovered objects, skipping aggregation";
-        if (!collect_telemetry()) return Attempt::kFailed;
         return Attempt::kUncovered;
       }
     }
@@ -705,11 +724,10 @@ DistributedOutcome Coordinator::close_round() {
     }
     truth::validate_warm_start(plan_.num_users, config_.num_objects, seed);
 
+    // Every method's last collective also collects the shard-side
+    // robustness counters (kGetTelemetry rides its frames).
     auto result = run_method(seed);
     if (!result.has_value()) return Attempt::kFailed;
-    // Shard-side robustness counters, collected after the method so the
-    // iterate-phase telemetry (mark_iterate_*) never includes these RPCs.
-    if (!collect_telemetry()) return Attempt::kFailed;
     out.result = std::move(*result);
     return Attempt::kAggregated;
   };
@@ -823,8 +841,8 @@ std::optional<truth::Result> Coordinator::run_crh(
     if (!broadcast(ShardOp::kCrhPrepare, prep.encode())) return std::nullopt;
     result.truths = seed.truths;
   } else {
-    // [prepare, weights, aggregate-hop] in one frame per shard — both
-    // folded ops only touch registers this shard's own fold consumes.
+    // [prepare, weights, aggregate partials] in one frame per shard — both
+    // folded ops only touch registers this shard's own pass consumes.
     auto truths = aggregate_truths(
         prepare_prefix(ShardOp::kCrhPrepare, prep.encode(), seed.weights));
     if (!truths.has_value()) return std::nullopt;
@@ -833,22 +851,17 @@ std::optional<truth::Result> Coordinator::run_crh(
 
   mark_iterate_begin();
   for (std::size_t it = 1; it <= c.convergence.max_iterations; ++it) {
-    // Loss chain: the running total threads through the shards, continuing
-    // the canonical block-chained sum across the fleet.
-    CrhLossBody loss;
+    // Loss total: every shard computes its losses at once and the
+    // coordinator chains their block sums — the canonical block-chained sum
+    // across the fleet.
+    TruthsBody loss;
     loss.truths = result.truths;
-    if (!chain<CrhTotalBody>(
-            ShardOp::kCrhLoss, {}, [&] { return loss.encode(); },
-            [&](const CrhTotalBody& reply) {
-              loss.total = reply.total;
-              return true;
-            })) {
-      return std::nullopt;
-    }
-    // The weight update rides each shard's aggregate hop instead of its own
-    // broadcast round-trip (4 msgs/shard/iteration).
+    const auto total = block_chained_total(ShardOp::kCrhLoss, loss.encode());
+    if (!total.has_value()) return std::nullopt;
+    // The weight update rides each shard's parallel aggregate step instead
+    // of its own broadcast round-trip (6 msgs/shard/iteration).
     CrhTotalBody tot;
-    tot.total = loss.total;
+    tot.total = *total;
     auto next = aggregate_truths(
         every_shard({BatchItem{ShardOp::kCrhWeights, tot.encode()}}));
     if (!next.has_value()) return std::nullopt;
@@ -894,11 +907,15 @@ std::optional<truth::Result> Coordinator::run_gtm(
   std::vector<double> truth_mean(N, 0.0);
   std::vector<double> truth_var(N, 0.0);
   const auto posterior_chain = [&](const BatchPrefixFn& prefix_of) -> bool {
+    // Parallel step: every shard caches its E-step block partials behind
+    // `prefix_of`; serial step: the prior-initialized accumulator hops
+    // through the shards, each adding its partials.
+    if (!call_live(ShardOp::kGtmFoldPartials, prefix_of)) return false;
     GtmFoldBody acc;
     acc.precision.assign(N, prior_precision);
     acc.weighted.assign(N, prior_weighted);
     const bool ok = chain<GtmFoldBody>(
-        ShardOp::kGtmFold, prefix_of, [&] { return acc.encode(); },
+        ShardOp::kGtmFold, {}, [&] { return acc.encode(); },
         [&](GtmFoldBody& next) {
           if (next.precision.size() != N) return false;
           acc = std::move(next);
@@ -939,8 +956,8 @@ std::optional<truth::Result> Coordinator::run_gtm(
     GtmStepBody step;
     step.truth_mean = truth_mean;
     step.truth_var = truth_var;
-    // The M-step broadcast rides each shard's fold hop instead of its own
-    // round-trip (2 msgs/shard/iteration).
+    // The M-step broadcast rides each shard's parallel posterior step
+    // instead of its own round-trip (4 msgs/shard/iteration).
     if (!posterior_chain(
             every_shard({BatchItem{ShardOp::kGtmStep, step.encode()}}))) {
       return std::nullopt;
@@ -1001,8 +1018,8 @@ std::optional<truth::Result> Coordinator::run_catd(
   for (std::size_t it = 1; it <= c.convergence.max_iterations; ++it) {
     TruthsBody req;
     req.truths = result.truths;
-    // The weight update rides each shard's aggregate hop
-    // (2 msgs/shard/iteration).
+    // The weight update rides each shard's parallel aggregate step
+    // (4 msgs/shard/iteration).
     auto next = aggregate_truths(
         every_shard({BatchItem{ShardOp::kCatdWeights, req.encode()}}));
     if (!next.has_value()) return std::nullopt;
@@ -1027,8 +1044,8 @@ std::optional<truth::Result> Coordinator::run_mean() {
   mark_iterate_begin();
   WeightsBody uniform;
   uniform.uniform = true;
-  auto truths = aggregate_truths(
-      every_shard({BatchItem{ShardOp::kSetWeights, uniform.encode()}}));
+  auto truths = aggregate_truths(with_telemetry(
+      every_shard({BatchItem{ShardOp::kSetWeights, uniform.encode()}})));
   if (!truths.has_value()) return std::nullopt;
   mark_iterate_end();
   result.truths = std::move(*truths);
@@ -1041,7 +1058,7 @@ std::optional<truth::Result> Coordinator::run_mean() {
 std::optional<truth::Result> Coordinator::run_median() {
   truth::Result result;
   mark_iterate_begin();
-  auto columns = gather_columns();
+  auto columns = gather_columns(with_telemetry({}));
   if (!columns.has_value()) return std::nullopt;
   mark_iterate_end();
   result.truths.resize(config_.num_objects);
@@ -1065,10 +1082,12 @@ std::optional<truth::Result> Coordinator::run_majority() {
 
   truth::Result result;
   mark_iterate_begin();
-  // No seed weights: [prepare, uniform weights] ride the one score chain.
+  // No seed weights: [prepare, uniform weights, telemetry] ride the one
+  // score chain.
   const std::vector<double> no_seed;
   auto scores = vote_scores_chain(
-      L, prepare_prefix(ShardOp::kVotePrepare, prep.encode(), no_seed));
+      L, with_telemetry(
+             prepare_prefix(ShardOp::kVotePrepare, prep.encode(), no_seed)));
   if (!scores.has_value()) return std::nullopt;
   mark_iterate_end();
   const std::vector<categorical::Label> truths =
@@ -1115,25 +1134,20 @@ std::optional<truth::Result> Coordinator::run_vote(
   truth::Result result;
   mark_iterate_begin();
   for (std::size_t it = 1; it <= v.max_iterations; ++it) {
-    // Disagreement chain: the running total threads through the shards,
-    // continuing the canonical block-chained sum across the fleet.
+    // Disagreement total: every shard computes its disagreements at once
+    // and the coordinator chains their block sums.
     VoteDisagreeBody disagree;
     disagree.truths = truths;
-    if (!chain<CrhTotalBody>(
-            ShardOp::kVoteDisagree, {}, [&] { return disagree.encode(); },
-            [&](const CrhTotalBody& reply) {
-              disagree.total = reply.total;
-              return true;
-            })) {
-      return std::nullopt;
-    }
+    const auto total =
+        block_chained_total(ShardOp::kVoteDisagree, disagree.encode());
+    if (!total.has_value()) return std::nullopt;
     // Broadcast even a non-positive total: the shards then land on uniform
     // weights, matching the in-process unanimity short-circuit bit for bit.
     // (Unanimity ends the iteration, so there is no chain to fold the weight
     // update into — the decision is known before the frame shape is chosen,
     // never speculated.)
     CrhTotalBody tot;
-    tot.total = disagree.total;
+    tot.total = *total;
     if (tot.total <= 0.0) {
       if (!broadcast(ShardOp::kVoteWeights, tot.encode())) return std::nullopt;
       result.iterations = it;

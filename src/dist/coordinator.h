@@ -10,12 +10,16 @@
 // statistic threaded through the shards as a chained fold (stats_wire.h) and
 // every per-user pass executed by the owning shard's local kernels.
 //
-// Wire shape: an op that only prepares a shard for the next collective
-// (method prepare, seed weights, the per-iteration weight update or M-step)
-// rides that collective's frame to each shard as a kBatch under one op id,
-// so an iteration costs 4 frames per shard for CRH and weighted vote and 2
-// for GTM and CATD. Only an op with no following collective (warm-truth
-// prepares, the vote unanimity update) is broadcast as its own frame.
+// Wire shape: each continuous collective is a parallel step (call_live: one
+// frame to every live shard at once, which runs its O(claims) pass and
+// caches its block partials) followed by a serial step (chain: one apply hop
+// per shard, in ascending plan order). An op that only prepares a shard for
+// the next collective (method prepare, seed weights, the per-iteration
+// weight update or M-step) rides that collective's parallel frame as a
+// kBatch under one op id, so an iteration costs 6 frames per shard for CRH
+// (loss, [weights, partials], apply hop) and 4 for GTM, CATD and weighted
+// vote. Only an op with no following collective (warm-truth prepares, the
+// vote unanimity update) is broadcast as its own frame.
 //
 // Failure model: every RPC has a timeout; a timed-out request is resent with
 // the SAME op id (shards execute exactly-once behind a monotonic op-id
@@ -125,10 +129,11 @@ crowd::RoundRecord to_round_record(const DistributedOutcome& outcome);
 /// simulator node or a remote socket process).
 struct NodeCounters {
   net::NodeId node = 0;
-  /// Shard-reported (kGetTelemetry), lifetime counters as of round close:
-  /// requests dropped by the exactly-once watermark, and undecodable
-  /// envelopes/bodies seen by the shard. Zero when the round failed before
-  /// telemetry collection.
+  /// Shard-reported lifetime counters as of the round's last collective
+  /// (kGetTelemetry rides its frames; a round that closes without
+  /// aggregating reads them from the finalize summary): requests dropped by
+  /// the exactly-once watermark, and undecodable envelopes/bodies seen by
+  /// the shard. Zero when the round failed before finalize.
   std::uint64_t stale_requests = 0;
   std::uint64_t malformed_messages = 0;
   /// Coordinator-side, this round only: undecodable responses from this
@@ -241,49 +246,66 @@ class Coordinator final : public net::Node {
     std::size_t resends = 0;
   };
 
-  // RPC core: send one request per target, pump the simulator (with
-  // timeout-and-resend) until every response arrives. nullopt on shard
-  // failure, with failed_shard_ set.
+  using Batch = std::vector<BatchItem>;
+  /// Reply bodies of one frame, one per item.
+  using FrameReplies = std::vector<std::vector<std::uint8_t>>;
+
+  // RPC core: send each target its plain request `item_of(j)`, pump the
+  // transport (with timeout-and-resend) until every response arrives.
+  // nullopt on shard failure, with failed_shard_ set.
   std::optional<std::vector<std::vector<std::uint8_t>>> call_all(
-      ShardOp op, const std::vector<net::NodeId>& targets,
-      const std::function<std::vector<std::uint8_t>(std::size_t)>& body_of);
-  std::optional<std::vector<std::uint8_t>> call(net::NodeId target, ShardOp op,
-                                                std::vector<std::uint8_t> body);
+      const std::vector<net::NodeId>& targets,
+      const std::function<BatchItem(std::size_t)>& item_of);
+  /// call_all for frames of several ops: `items_of(j)` goes out as the plain
+  /// op when it holds one item, else as one kBatch under one op id. Returns
+  /// each target's reply to every item; kGetTelemetry replies are recorded
+  /// in telemetry_by_node_ on the way.
+  std::optional<std::vector<FrameReplies>> call_frames(
+      const std::vector<net::NodeId>& targets,
+      const std::function<Batch(std::size_t)>& items_of);
   bool broadcast(ShardOp op, const std::vector<std::uint8_t>& body);
   bool pump();
 
-  using Batch = std::vector<BatchItem>;
-  /// The sub-ops to fold ahead of plan index `index`'s chain-hop or gather
-  /// frame. They execute before the main op inside the same exactly-once
-  /// unit (one kBatch frame, one op_id). A folded op only mutates
-  /// shard-local registers consumed by that same shard's own fold, so
-  /// execution order across shards cannot change the chain's bits. Unset,
-  /// or empty for a shard, sends that shard the plain op.
+  /// The sub-ops to fold ahead of plan index `index`'s frame. They execute
+  /// before the main op inside the same exactly-once unit (one kBatch frame,
+  /// one op_id). A folded op only mutates shard-local registers consumed by
+  /// that same shard's own pass, so execution order across shards cannot
+  /// change any bits. Unset, or empty for a shard, sends the plain op.
   using BatchPrefixFn = std::function<Batch(std::size_t)>;
 
-  /// [prepare, kSetWeights] ahead of each shard's first fold hop: the
-  /// weights are the plan-range slice of `weights`, or uniform when it is
-  /// empty. `weights` is read by reference and must outlive the collective.
+  /// [prepare, kSetWeights] ahead of each shard's first pass: the weights
+  /// are the plan-range slice of `weights`, or uniform when it is empty.
+  /// `weights` is read by reference and must outlive the collective.
   BatchPrefixFn prepare_prefix(ShardOp prepare,
                                std::vector<std::uint8_t> prepare_body,
                                const std::vector<double>& weights) const;
   /// The same `items` ahead of every shard's frame.
   static BatchPrefixFn every_shard(Batch items);
+  /// `prefix_of` followed by kGetTelemetry: the round's last collective
+  /// collects the shard counters in its own frames.
+  static BatchPrefixFn with_telemetry(BatchPrefixFn prefix_of);
 
-  /// One chain hop to `shard` (plan index `index`): plain `op` when
-  /// `prefix_of` is unset or yields nothing, else a kBatch frame
-  /// [prefix..., op] whose last reply body is returned.
-  std::optional<std::vector<std::uint8_t>> chain_call(
-      net::NodeId shard, std::size_t index, ShardOp op,
-      std::vector<std::uint8_t> body, const BatchPrefixFn& prefix_of);
-  /// The one chained fold every sequential collective runs: walks live_ in
-  /// ascending plan order, sends each shard `op` with body `request()`
-  /// through chain_call, decodes its reply as `Reply` and passes it to
-  /// `absorb`, which carries the accumulator on (false = malformed reply).
-  /// False on any shard failure, with failed_shard_ set.
+  /// The parallel step every collective starts with: ONE frame to every
+  /// live shard at once, [prefix_of(i)..., op(body)], all in flight
+  /// together. Returns each live shard's reply to `op`, in live order.
+  std::optional<std::vector<std::vector<std::uint8_t>>> call_live(
+      ShardOp op, const BatchPrefixFn& prefix_of,
+      const std::vector<std::uint8_t>& body = {});
+  /// The serial step: walks live_ in ascending plan order, one blocking hop
+  /// per shard, sends each shard [prefix_of(i)..., op(request())], decodes
+  /// its reply to `op` as `Reply` and passes it to `absorb`, which carries
+  /// the accumulator on (false = malformed reply). For the continuous
+  /// statistics the hop only applies partials a call_live cached; the
+  /// categorical score table still folds inside the hop. False on any shard
+  /// failure, with failed_shard_ set.
   template <typename Reply, typename Request, typename Absorb>
   bool chain(ShardOp op, const BatchPrefixFn& prefix_of,
              const Request& request, const Absorb& absorb);
+  /// The fleet-wide block_chain_sum of a per-user register: `op` computes
+  /// it on every live shard at once and replies with per-block sums, which
+  /// are chained here in ascending shard order.
+  std::optional<double> block_chained_total(ShardOp op,
+                                            std::vector<std::uint8_t> body);
   /// Encoded WeightsBody slice of `global` for shard `i` (plan user range).
   std::vector<std::uint8_t> weights_slice_body(
       const std::vector<double>& global, std::size_t i) const;
@@ -294,20 +316,17 @@ class Coordinator final : public net::Node {
   std::size_t live_num_users() const;
 
   // Statistics collectives over the live shards (ascending plan order).
+  /// Aggregate partials in parallel behind `prefix_of`, then the apply chain.
   std::optional<std::vector<double>> aggregate_truths(
       const BatchPrefixFn& prefix_of);
   std::optional<std::vector<RunningStats>> moments_chain();
   std::optional<std::vector<std::vector<double>>> gather_columns(
-      const BatchPrefixFn& prefix_of = {});
+      const BatchPrefixFn& prefix_of);
   /// Weight slices in one kBatch [kCollectWeights, kGetTelemetry] per shard.
   std::optional<std::vector<double>> collect_weights();
   /// Chained categorical score fold (kVoteScores) over the live shards.
   std::optional<std::vector<double>> vote_scores_chain(
       std::size_t num_labels, const BatchPrefixFn& prefix_of);
-  /// kGetTelemetry over the live shards into telemetry_by_node_. No-op when
-  /// collect_weights already piggybacked it this round (the iterative
-  /// methods); mean, median, majority and the uncovered close pay the RPC.
-  bool collect_telemetry();
 
   // Per-method drivers: the exact run_impl control flow over the wire.
   std::optional<truth::Result> run_method(const truth::WarmStart& seed);

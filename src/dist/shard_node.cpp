@@ -68,11 +68,18 @@ void ShardNode::reset_round_state() {
   gtm_ = {};
   catd_ = {};
   vote_ = {};
+  drop_weighted_partials();
+  moment_partials_.clear();
   // last_op_id_ is deliberately NOT reset: the exactly-once watermark is the
   // dedup floor a real replica persists across restarts, and it is what keeps
   // delayed duplicates of pre-crash ops from re-executing after a rejoin.
   // The cached response bytes ARE volatile.
   last_response_.reset();
+}
+
+void ShardNode::drop_weighted_partials() {
+  aggregate_partials_.clear();
+  gtm_partials_.clear();
 }
 
 void ShardNode::on_message(const net::Message& message) {
@@ -159,13 +166,13 @@ void ShardNode::handle_request(const net::Message& message) {
     return;
   }
   last_op_id_ = env.op_id;
-  last_response_ = body;
   crowd::StatsEnvelope reply;
   reply.op_id = env.op_id;
   reply.op = env.op;
   reply.body = std::move(body);
   network_->send(crowd::make_message(
       id_, message.source, crowd::MessageType::kShardResponse, reply.encode()));
+  last_response_ = std::move(reply.body);
 }
 
 const data::ShardedMatrix& ShardNode::view() const {
@@ -220,6 +227,8 @@ std::vector<std::uint8_t> ShardNode::execute(
       chi2_.clear();
       disagreement_.clear();
       vote_ = {};
+      drop_weighted_partials();
+      moment_partials_.clear();
       return {};
     }
     case ShardOp::kFinalizeIngest: {
@@ -228,6 +237,8 @@ std::vector<std::uint8_t> ShardNode::execute(
       // attempt, so a shard that already finalized must re-serve the summary
       // from its finalized matrix — re-running ingestor_.finalize() would
       // move the ingested rows out and destroy the round's data.
+      drop_weighted_partials();
+      moment_partials_.clear();
       if (!matrix_.has_value()) {
         if (!ingestor_.armed()) throw DecodeError("shard: no open round");
         round_open_ = false;
@@ -249,6 +260,8 @@ std::vector<std::uint8_t> ShardNode::execute(
       summary.malformed_reports = stats.malformed_reports;
       summary.rejected_reports = stats.rejected_reports;
       summary.invalid_labels = stats.invalid_labels;
+      summary.stale_requests = stale_requests_;
+      summary.malformed_messages = malformed_messages_;
       summary.object_counts.resize(num_objects_);
       matrix_->ensure_object_index();
       for (std::size_t n = 0; n < num_objects_; ++n) {
@@ -267,14 +280,19 @@ std::vector<std::uint8_t> ShardNode::execute(
         }
         weights_ = req.weights;
       }
+      drop_weighted_partials();
+      return {};
+    }
+    case ShardOp::kMomentsPartials: {
+      truth::fold_object_moments_partials(view(), moment_partials_);
       return {};
     }
     case ShardOp::kMoments: {
       std::vector<RunningStats> moments = decode_moments(body);
-      if (moments.size() != num_objects_) {
-        throw DecodeError("moments: size != num objects");
+      if (moments.size() != num_objects_ || moment_partials_.empty()) {
+        throw DecodeError("moments: size != num objects or no partials");
       }
-      truth::fold_object_moments(view(), nullptr, moments);
+      truth::apply_object_moments(moment_partials_, moments);
       return encode_moments(moments);
     }
     case ShardOp::kGather: {
@@ -296,12 +314,18 @@ std::vector<std::uint8_t> ShardNode::execute(
       (void)v;
       return out.encode();
     }
+    case ShardOp::kAggregatePartials: {
+      truth::weighted_aggregate_partials(view(), weights_,
+                                         aggregate_partials_);
+      return {};
+    }
     case ShardOp::kAggregate: {
       AggregateBody req = AggregateBody::decode(body);
-      if (req.stats.counts.size() != num_objects_) {
-        throw DecodeError("AggregateBody: size != num objects");
+      if (req.stats.counts.size() != num_objects_ ||
+          aggregate_partials_.empty()) {
+        throw DecodeError("AggregateBody: size != num objects or no partials");
       }
-      truth::weighted_aggregate_fold(view(), weights_, req.stats, nullptr);
+      truth::apply_aggregate_partials(aggregate_partials_, req.stats);
       return req.encode();
     }
     case ShardOp::kCollectWeights: {
@@ -320,18 +344,18 @@ std::vector<std::uint8_t> ShardNode::execute(
       return {};
     }
     case ShardOp::kCrhLoss: {
-      const CrhLossBody req = CrhLossBody::decode(body);
+      const TruthsBody req = TruthsBody::decode(body);
       if (req.truths.size() != num_objects_ ||
           crh_.stddevs.size() != num_objects_) {
-        throw DecodeError("CrhLossBody: size mismatch or unprepared");
+        throw DecodeError("kCrhLoss: size mismatch or unprepared");
       }
       truth::crh_user_losses(view(), nullptr,
                              static_cast<truth::CrhLoss>(crh_.loss),
                              req.truths, crh_.stddevs, losses_);
-      CrhTotalBody out;
-      // Continue the global block-chained loss sum from the preceding
-      // shards' running total; local blocks are the global blocks.
-      out.total = truth::block_chain_sum(losses_, block_size_, req.total);
+      // Local blocks are the global blocks: the coordinator chains these
+      // sums after the preceding shards' into the global loss total.
+      BlockSumsBody out;
+      truth::block_sums(losses_, block_size_, out.sums);
       return out.encode();
     }
     case ShardOp::kCrhWeights: {
@@ -339,6 +363,7 @@ std::vector<std::uint8_t> ShardNode::execute(
       (void)view();
       weights_ = truth::crh_weights_from_losses(losses_, req.total,
                                                 crh_.min_loss_fraction);
+      drop_weighted_partials();
       return {};
     }
     case ShardOp::kGtmPrepare: {
@@ -347,6 +372,7 @@ std::vector<std::uint8_t> ShardNode::execute(
         throw DecodeError("GtmPrepareBody: size != num objects");
       }
       gtm_ = std::move(req);
+      gtm_partials_.clear();
       return {};
     }
     case ShardOp::kGtmStep: {
@@ -361,16 +387,23 @@ std::vector<std::uint8_t> ShardNode::execute(
       config.min_variance = gtm_.min_variance;
       truth::gtm_m_step(view(), nullptr, config, gtm_.shift, gtm_.scale,
                         req.truth_mean, req.truth_var, quality_, weights_);
+      drop_weighted_partials();
+      return {};
+    }
+    case ShardOp::kGtmFoldPartials: {
+      if (gtm_.shift.size() != num_objects_) {
+        throw DecodeError("kGtmFoldPartials: unprepared");
+      }
+      truth::gtm_posterior_partials(view(), gtm_.shift, gtm_.scale, weights_,
+                                    gtm_partials_);
       return {};
     }
     case ShardOp::kGtmFold: {
       GtmFoldBody req = GtmFoldBody::decode(body);
-      if (req.precision.size() != num_objects_ ||
-          gtm_.shift.size() != num_objects_) {
-        throw DecodeError("GtmFoldBody: size mismatch or unprepared");
+      if (req.precision.size() != num_objects_ || gtm_partials_.empty()) {
+        throw DecodeError("GtmFoldBody: size mismatch or no partials");
       }
-      truth::gtm_posterior_fold(view(), nullptr, gtm_.shift, gtm_.scale,
-                                weights_, req.precision, req.weighted);
+      truth::apply_gtm_partials(gtm_partials_, req.precision, req.weighted);
       return req.encode();
     }
     case ShardOp::kCatdPrepare: {
@@ -389,6 +422,7 @@ std::vector<std::uint8_t> ShardNode::execute(
       }
       truth::catd_user_weights(view(), nullptr, chi2_, req.truths,
                                catd_.min_residual, weights_);
+      drop_weighted_partials();
       return {};
     }
     case ShardOp::kVotePrepare: {
@@ -404,9 +438,9 @@ std::vector<std::uint8_t> ShardNode::execute(
       return {};
     }
     case ShardOp::kVoteScores: {
-      VoteScoresBody req = VoteScoresBody::decode(body);
+      VoteScoresBody::decode_into(body, vote_scores_);
       if (vote_.num_labels == 0 ||
-          req.scores.size() !=
+          vote_scores_.size() !=
               num_objects_ * static_cast<std::size_t>(vote_.num_labels)) {
         throw DecodeError("VoteScoresBody: size mismatch or unprepared");
       }
@@ -417,8 +451,8 @@ std::vector<std::uint8_t> ShardNode::execute(
       // claims.
       categorical::fold_label_scores(
           view(), static_cast<std::size_t>(vote_.num_labels), nullptr,
-          weights_, req.scores);
-      return req.encode();
+          weights_, vote_scores_);
+      return VoteScoresBody::encode(vote_scores_);
     }
     case ShardOp::kVoteDisagree: {
       const VoteDisagreeBody req = VoteDisagreeBody::decode(body);
@@ -428,8 +462,8 @@ std::vector<std::uint8_t> ShardNode::execute(
       categorical::vote_disagreement(
           view(), static_cast<std::size_t>(vote_.num_labels), nullptr,
           req.truths, disagreement_);
-      CrhTotalBody out;
-      out.total = truth::block_chain_sum(disagreement_, block_size_, req.total);
+      BlockSumsBody out;
+      truth::block_sums(disagreement_, block_size_, out.sums);
       return out.encode();
     }
     case ShardOp::kVoteWeights: {
@@ -447,6 +481,7 @@ std::vector<std::uint8_t> ShardNode::execute(
             disagreement_, req.total, vote_.min_disagreement_fraction,
             weights_);
       }
+      drop_weighted_partials();
       return {};
     }
     case ShardOp::kGetTelemetry: {

@@ -6,7 +6,9 @@
 // categorical votes included, reads the one finalized local sub-matrix; no
 // per-method copy is built. Because its local user range is block-aligned,
 // every chained fold it continues reproduces the global fold's bits (see
-// stats_wire.h for the full argument).
+// stats_wire.h for the full argument). The continuous folds run in two
+// steps: a parallel op computes and caches this shard's block partials, and
+// the chain hop only adds the cached partials onto the carried accumulator.
 //
 // RPC semantics: exactly-once per op_id, enforced with a monotonic watermark.
 // Coordinator op ids are globally increasing, so the node keeps the highest
@@ -34,6 +36,8 @@
 #include "data/sharding.h"
 #include "dist/stats_wire.h"
 #include "net/transport.h"
+#include "truth/gtm.h"
+#include "truth/interface.h"
 
 namespace dptd::dist {
 
@@ -92,6 +96,8 @@ class ShardNode final : public net::Node {
   std::vector<std::uint8_t> execute(ShardOp op,
                                     std::span<const std::uint8_t> body);
   void reset_round_state();
+  /// Drops the partial caches that read weights_ (every weight update).
+  void drop_weighted_partials();
   const data::ShardedMatrix& view() const;
 
   net::NodeId id_;
@@ -125,6 +131,15 @@ class ShardNode final : public net::Node {
   /// Set by kVotePrepare; num_labels == 0 means the shard is not prepared
   /// for the vote folds, which then read view() directly.
   VotePrepareBody vote_;
+
+  // Block partials cached by the parallel step of each continuous chain;
+  // empty = not fresh, and the matching hop refuses to run. clear() keeps
+  // the capacity, so recomputing them every iteration allocates nothing.
+  truth::AggregatePartials aggregate_partials_;
+  truth::MomentPartials moment_partials_;
+  truth::GtmPartials gtm_partials_;
+  /// The kVoteScores table, decoded into the same buffer every hop.
+  std::vector<double> vote_scores_;
 
   // Exactly-once RPC state: the highest executed op id (monotonic watermark,
   // never reset — see class comment) plus the response bytes of that op for

@@ -63,6 +63,8 @@ std::vector<std::uint8_t> IngestSummaryBody::encode() const {
   enc.write_varint(rejected_reports);
   enc.write_varint(invalid_labels);
   write_varints(enc, object_counts);
+  enc.write_varint(stale_requests);
+  enc.write_varint(malformed_messages);
   return enc.take();
 }
 
@@ -76,6 +78,8 @@ IngestSummaryBody IngestSummaryBody::decode(
   msg.rejected_reports = dec.read_varint();
   msg.invalid_labels = dec.read_varint();
   msg.object_counts = read_varints(dec);
+  msg.stale_requests = dec.read_varint();
+  msg.malformed_messages = dec.read_varint();
   require_done(dec, "IngestSummaryBody");
   return msg;
 }
@@ -207,19 +211,17 @@ CrhPrepareBody CrhPrepareBody::decode(std::span<const std::uint8_t> bytes) {
   return msg;
 }
 
-std::vector<std::uint8_t> CrhLossBody::encode() const {
+std::vector<std::uint8_t> BlockSumsBody::encode() const {
   Encoder enc;
-  enc.write_doubles(truths);
-  enc.write_double(total);
+  enc.write_doubles(sums);
   return enc.take();
 }
 
-CrhLossBody CrhLossBody::decode(std::span<const std::uint8_t> bytes) {
+BlockSumsBody BlockSumsBody::decode(std::span<const std::uint8_t> bytes) {
   Decoder dec(bytes);
-  CrhLossBody msg;
-  msg.truths = dec.read_doubles();
-  msg.total = dec.read_double();
-  require_done(dec, "CrhLossBody");
+  BlockSumsBody msg;
+  msg.sums = dec.read_doubles();
+  require_done(dec, "BlockSumsBody");
   return msg;
 }
 
@@ -349,25 +351,30 @@ VotePrepareBody VotePrepareBody::decode(std::span<const std::uint8_t> bytes) {
   return msg;
 }
 
-std::vector<std::uint8_t> VoteScoresBody::encode() const {
+std::vector<std::uint8_t> VoteScoresBody::encode(
+    std::span<const double> scores) {
   Encoder enc;
   enc.write_doubles(scores);
   return enc.take();
 }
 
 VoteScoresBody VoteScoresBody::decode(std::span<const std::uint8_t> bytes) {
-  Decoder dec(bytes);
   VoteScoresBody msg;
-  msg.scores = dec.read_doubles();
-  require_done(dec, "VoteScoresBody");
+  decode_into(bytes, msg.scores);
   return msg;
+}
+
+void VoteScoresBody::decode_into(std::span<const std::uint8_t> bytes,
+                                 std::vector<double>& scores) {
+  Decoder dec(bytes);
+  dec.read_doubles_into(scores);
+  require_done(dec, "VoteScoresBody");
 }
 
 std::vector<std::uint8_t> VoteDisagreeBody::encode() const {
   Encoder enc;
   enc.write_varint(truths.size());
   for (std::uint32_t t : truths) enc.write_varint(t);
-  enc.write_double(total);
   return enc.take();
 }
 
@@ -382,7 +389,6 @@ VoteDisagreeBody VoteDisagreeBody::decode(std::span<const std::uint8_t> bytes) {
     if (t > 0xffffffffULL) throw DecodeError("VoteDisagreeBody: label overflow");
     msg.truths.push_back(static_cast<std::uint32_t>(t));
   }
-  msg.total = dec.read_double();
   require_done(dec, "VoteDisagreeBody");
   return msg;
 }
@@ -407,7 +413,7 @@ BatchBody BatchBody::decode(std::span<const std::uint8_t> bytes) {
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint8_t op = dec.read_u8();
     if (op < static_cast<std::uint8_t>(ShardOp::kSetup) ||
-        op > static_cast<std::uint8_t>(ShardOp::kBatch)) {
+        op > static_cast<std::uint8_t>(kLastShardOp)) {
       throw DecodeError("BatchBody: unknown op");
     }
     // Refused here, before any sub-op executes, so a bad batch never

@@ -13,6 +13,19 @@
 // distributed run is bitwise identical to the in-process run_sharded at the
 // same K (and, by the block-fold contract, at every K).
 //
+// The continuous chains run in two steps (truth/sharded_stats.h):
+//   - parallel step: one frame to every live shard at once. Each shard runs
+//     the O(claims) pass and caches its per-(object, block) segment partials
+//     (kAggregatePartials, kMomentsPartials, kGtmFoldPartials), usually
+//     behind the kBatch prefix that sets the weights the pass reads;
+//   - serial step: the chain hop (kAggregate, kMoments, kGtmFold) only adds
+//     the cached partials onto the carried accumulator, in ascending block
+//     order — O(objects x blocks), and bitwise the fused fold.
+// Block-chained totals (kCrhLoss, kVoteDisagree) need no hop at all: each
+// shard returns its per-block sums in the parallel step and the coordinator
+// chains them in ascending shard order. The categorical score table
+// (kVoteScores) still threads through the shards as one chain.
+//
 // Per-user state (weights, losses, qualities) never crosses the wire during
 // iterations: it lives on the owning shard and only the final weight slices
 // are collected. Broadcast ops (truths, scalars, prepared constants) are
@@ -39,18 +52,21 @@ enum class ShardOp : std::uint8_t {
   kFinalizeIngest = 2,  ///< empty -> IngestSummaryBody
   // Generic statistics collectives.
   kSetWeights = 3,      ///< WeightsBody -> empty ack
-  kMoments = 4,         ///< moments chain: MomentsBody -> MomentsBody
+  kMoments = 4,         ///< moments hop: MomentsBody -> MomentsBody (applies
+                        ///< the kMomentsPartials cache)
   kGather = 5,          ///< empty -> GatherBody (this shard's column fragments)
-  kAggregate = 6,       ///< aggregate chain: AggregateBody -> AggregateBody
+  kAggregate = 6,       ///< aggregate hop: AggregateBody -> AggregateBody
+                        ///< (applies the kAggregatePartials cache)
   kCollectWeights = 7,  ///< empty -> WeightsBody (this shard's weight slice)
   // CRH.
   kCrhPrepare = 8,      ///< CrhPrepareBody -> empty ack
-  kCrhLoss = 9,         ///< loss chain: CrhLossBody -> CrhTotalBody
+  kCrhLoss = 9,         ///< TruthsBody -> BlockSumsBody (per-block loss sums)
   kCrhWeights = 10,     ///< CrhTotalBody broadcast -> empty ack
   // GTM.
   kGtmPrepare = 11,     ///< GtmPrepareBody -> empty ack
   kGtmStep = 12,        ///< GtmStepBody broadcast (M-step) -> empty ack
-  kGtmFold = 13,        ///< posterior chain: GtmFoldBody -> GtmFoldBody
+  kGtmFold = 13,        ///< posterior hop: GtmFoldBody -> GtmFoldBody
+                        ///< (applies the kGtmFoldPartials cache)
   // CATD.
   kCatdPrepare = 14,    ///< CatdPrepareBody -> empty ack
   kCatdWeights = 15,    ///< TruthsBody broadcast -> empty ack
@@ -59,11 +75,25 @@ enum class ShardOp : std::uint8_t {
   // Categorical voting (majority / weighted vote over label claims).
   kVotePrepare = 17,    ///< VotePrepareBody -> empty ack (arms the vote folds)
   kVoteScores = 18,     ///< score chain: VoteScoresBody -> VoteScoresBody
-  kVoteDisagree = 19,   ///< disagreement chain: VoteDisagreeBody -> CrhTotalBody
+  kVoteDisagree = 19,   ///< VoteDisagreeBody -> BlockSumsBody
   kVoteWeights = 20,    ///< CrhTotalBody broadcast -> empty ack
   // Batched collectives.
   kBatch = 21,          ///< BatchBody -> BatchReplyBody (sub-ops in order)
+  // Parallel steps of the continuous chains: empty -> empty ack. Each runs
+  // the O(claims) pass over the current registers and caches its block
+  // partials for the matching hop. Idempotent (recomputing yields the same
+  // cache); the hop reads the cache without mutating it. kSetup,
+  // kFinalizeIngest, every weight update (kSetWeights, kCrhWeights,
+  // kGtmStep, kCatdWeights, kVoteWeights), a re-prepare and fail()/rejoin()
+  // drop the caches that depend on what they change, and a hop that finds
+  // no fresh cache is refused as malformed — it never folds stale state.
+  kAggregatePartials = 22,  ///< caches the kAggregate partials (weights_)
+  kMomentsPartials = 23,    ///< caches the kMoments partials
+  kGtmFoldPartials = 24,    ///< caches the kGtmFold partials (precisions)
 };
+
+/// The highest ShardOp value (decoders refuse anything above it).
+inline constexpr ShardOp kLastShardOp = ShardOp::kGtmFoldPartials;
 
 /// One sub-op inside a kBatch frame: the opcode plus its encoded body, exactly
 /// as it would travel alone.
@@ -123,6 +153,10 @@ struct IngestSummaryBody {
   std::uint64_t rejected_reports = 0;
   std::uint64_t invalid_labels = 0;  ///< out-of-alphabet label claims dropped
   std::vector<std::uint64_t> object_counts;
+  /// The shard's TelemetryBody counters as of finalize, so a round that
+  /// closes without aggregating (uncovered objects) needs no telemetry RPC.
+  std::uint64_t stale_requests = 0;
+  std::uint64_t malformed_messages = 0;
 
   std::vector<std::uint8_t> encode() const;
   static IngestSummaryBody decode(std::span<const std::uint8_t> bytes);
@@ -171,17 +205,18 @@ struct CrhPrepareBody {
   static CrhPrepareBody decode(std::span<const std::uint8_t> bytes);
 };
 
-/// CRH loss chain request: current truths plus the running block-chained loss
-/// total of the preceding shards (the shard's block_chain_sum init).
-struct CrhLossBody {
-  std::vector<double> truths;
-  double total = 0.0;
+/// Per-block sums of a per-user vector over this shard's (block-aligned)
+/// users, in ascending block order — truth::block_sums. The coordinator
+/// chains every live shard's sums in ascending shard order
+/// (truth::chain_block_sums) into the fleet-wide block_chain_sum.
+struct BlockSumsBody {
+  std::vector<double> sums;
 
   std::vector<std::uint8_t> encode() const;
-  static CrhLossBody decode(std::span<const std::uint8_t> bytes);
+  static BlockSumsBody decode(std::span<const std::uint8_t> bytes);
 };
 
-/// The chained loss total — CrhLoss response and CrhWeights broadcast body.
+/// A chained total: the CrhWeights and VoteWeights broadcast body.
 struct CrhTotalBody {
   double total = 0.0;
 
@@ -254,16 +289,19 @@ struct VotePrepareBody {
 struct VoteScoresBody {
   std::vector<double> scores;
 
-  std::vector<std::uint8_t> encode() const;
+  std::vector<std::uint8_t> encode() const { return encode(scores); }
   static VoteScoresBody decode(std::span<const std::uint8_t> bytes);
+  /// The body of a table held elsewhere (no VoteScoresBody copy).
+  static std::vector<std::uint8_t> encode(std::span<const double> scores);
+  /// decode into a kept table: reuses `scores`' capacity.
+  static void decode_into(std::span<const std::uint8_t> bytes,
+                          std::vector<double>& scores);
 };
 
-/// Vote disagreement chain request: the current truth estimates (label ids)
-/// plus the running block-chained disagreement total of the preceding shards
-/// (the shard's block_chain_sum init). Response is CrhTotalBody.
+/// Vote disagreement request: the current truth estimates (label ids). The
+/// reply is the shard's per-block disagreement sums (BlockSumsBody).
 struct VoteDisagreeBody {
   std::vector<std::uint32_t> truths;  ///< one label per object
-  double total = 0.0;
 
   std::vector<std::uint8_t> encode() const;
   static VoteDisagreeBody decode(std::span<const std::uint8_t> bytes);

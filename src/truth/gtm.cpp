@@ -87,21 +87,49 @@ void gtm_m_step(const data::ShardedMatrix& shards, ThreadPool* pool,
   });
 }
 
+namespace {
+
+/// Per-claim E-step contributions: (p, p * standardized value).
+auto posterior_emit(std::span<const double> shift,
+                    std::span<const double> scale,
+                    std::span<const double> precisions) {
+  return [shift, scale, precisions](std::size_t user, std::size_t n,
+                                    double value,
+                                    std::array<double, 2>& contrib) {
+    const double p = precisions[user];
+    contrib[0] = p;
+    contrib[1] = p * ((value - shift[n]) / scale[n]);
+  };
+}
+
+}  // namespace
+
 void gtm_posterior_fold(const data::ShardedMatrix& shards, ThreadPool* pool,
                         std::span<const double> shift,
                         std::span<const double> scale,
                         std::span<const double> precisions,
                         std::span<double> precision_acc,
                         std::span<double> weighted_acc) {
-  fold_object_stats<2>(
-      shards, pool,
-      [&](std::size_t user, std::size_t n, double value,
-          std::array<double, 2>& contrib) {
-        const double p = precisions[user];
-        contrib[0] = p;
-        contrib[1] = p * ((value - shift[n]) / scale[n]);
-      },
-      {precision_acc.data(), weighted_acc.data()});
+  fold_object_stats<2>(shards, pool, posterior_emit(shift, scale, precisions),
+                       {precision_acc.data(), weighted_acc.data()});
+}
+
+void gtm_posterior_partials(const data::ShardedMatrix& shards,
+                            std::span<const double> shift,
+                            std::span<const double> scale,
+                            std::span<const double> precisions,
+                            GtmPartials& out) {
+  fold_object_stats_partials<2>(
+      shards, posterior_emit(shift, scale, precisions), out);
+}
+
+void apply_gtm_partials(const GtmPartials& partials,
+                        std::span<double> precision_acc,
+                        std::span<double> weighted_acc) {
+  DPTD_REQUIRE(precision_acc.size() == partials.num_objects &&
+                   weighted_acc.size() == partials.num_objects,
+               "apply_gtm_partials: accumulator size != num objects");
+  apply_object_stats<2>(partials, {precision_acc.data(), weighted_acc.data()});
 }
 
 void gtm_posterior_from_stats(std::span<const double> precision_acc,

@@ -96,6 +96,19 @@ void gtm_posterior_fold(const data::ShardedMatrix& shards, ThreadPool* pool,
                         std::span<double> precision_acc,
                         std::span<double> weighted_acc);
 
+/// gtm_posterior_fold split in two (truth/sharded_stats.h): record the
+/// block partials of (precision, precision-weighted value), then add them
+/// into the accumulators — bitwise the fused fold.
+using GtmPartials = StatsPartials<2>;
+void gtm_posterior_partials(const data::ShardedMatrix& shards,
+                            std::span<const double> shift,
+                            std::span<const double> scale,
+                            std::span<const double> precisions,
+                            GtmPartials& out);
+void apply_gtm_partials(const GtmPartials& partials,
+                        std::span<double> precision_acc,
+                        std::span<double> weighted_acc);
+
 /// Finalizes fully folded posterior statistics into truth_mean/truth_var.
 void gtm_posterior_from_stats(std::span<const double> precision_acc,
                               std::span<const double> weighted_acc,

@@ -54,25 +54,53 @@ Result TruthDiscovery::run_sharded(const data::ShardedMatrix& shards,
   return run_warm(shards.concatenated(), warm);
 }
 
-void weighted_aggregate_fold(const data::ShardedMatrix& shards,
-                             const std::vector<double>& weights,
-                             AggregateStats& acc, ThreadPool* pool) {
-  const std::size_t N = shards.num_objects();
-  DPTD_REQUIRE(weights.size() == shards.num_users(),
-               "weighted_aggregate: weight vector size != num users");
+namespace {
+
+void require_aggregate_size(const AggregateStats& acc, std::size_t N) {
   DPTD_REQUIRE(acc.weighted_sum.size() == N && acc.weight_sum.size() == N &&
                    acc.plain_sum.size() == N && acc.counts.size() == N,
                "weighted_aggregate_fold: accumulator size != num objects");
-  fold_object_stats<3>(
-      shards, pool,
-      [&](std::size_t user, std::size_t, double value,
-          std::array<double, 3>& contrib) {
-        contrib[0] = weights[user] * value;
-        contrib[1] = weights[user];
-        contrib[2] = value;
-      },
-      {acc.weighted_sum.data(), acc.weight_sum.data(), acc.plain_sum.data()},
-      acc.counts.data());
+}
+
+/// Per-claim contributions of the weighted aggregation: (w x, w, x).
+auto aggregate_emit(const data::ShardedMatrix& shards,
+                    const std::vector<double>& weights) {
+  DPTD_REQUIRE(weights.size() == shards.num_users(),
+               "weighted_aggregate: weight vector size != num users");
+  return [&weights](std::size_t user, std::size_t, double value,
+                    std::array<double, 3>& contrib) {
+    contrib[0] = weights[user] * value;
+    contrib[1] = weights[user];
+    contrib[2] = value;
+  };
+}
+
+std::array<double*, 3> aggregate_outputs(AggregateStats& acc) {
+  return {acc.weighted_sum.data(), acc.weight_sum.data(),
+          acc.plain_sum.data()};
+}
+
+}  // namespace
+
+void weighted_aggregate_fold(const data::ShardedMatrix& shards,
+                             const std::vector<double>& weights,
+                             AggregateStats& acc, ThreadPool* pool) {
+  const auto emit = aggregate_emit(shards, weights);
+  require_aggregate_size(acc, shards.num_objects());
+  fold_object_stats<3>(shards, pool, emit, aggregate_outputs(acc),
+                       acc.counts.data());
+}
+
+void weighted_aggregate_partials(const data::ShardedMatrix& shards,
+                                 const std::vector<double>& weights,
+                                 AggregatePartials& out) {
+  fold_object_stats_partials<3>(shards, aggregate_emit(shards, weights), out);
+}
+
+void apply_aggregate_partials(const AggregatePartials& partials,
+                              AggregateStats& acc) {
+  require_aggregate_size(acc, partials.num_objects);
+  apply_object_stats<3>(partials, aggregate_outputs(acc), acc.counts.data());
 }
 
 std::vector<double> truths_from_aggregate(const AggregateStats& acc,

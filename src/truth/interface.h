@@ -13,6 +13,7 @@
 #include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "data/sharding.h"
+#include "truth/sharded_stats.h"
 
 namespace dptd::truth {
 
@@ -129,6 +130,17 @@ struct AggregateStats {
 void weighted_aggregate_fold(const data::ShardedMatrix& shards,
                              const std::vector<double>& weights,
                              AggregateStats& acc, ThreadPool* pool = nullptr);
+
+/// weighted_aggregate_fold split in two (truth/sharded_stats.h): the
+/// O(claims) pass records `shards`' block partials (weighted sum, weight
+/// sum, plain sum per segment), and apply_aggregate_partials adds them into
+/// `acc` — bitwise the fused fold onto the same accumulator.
+using AggregatePartials = StatsPartials<3>;
+void weighted_aggregate_partials(const data::ShardedMatrix& shards,
+                                 const std::vector<double>& weights,
+                                 AggregatePartials& out);
+void apply_aggregate_partials(const AggregatePartials& partials,
+                              AggregateStats& acc);
 
 /// Finalizes a fully folded accumulator into truths: weighted mean per
 /// object, falling back to the plain mean when every claimant has zero

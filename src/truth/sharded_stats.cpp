@@ -1,42 +1,46 @@
 #include "truth/sharded_stats.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace dptd::truth {
+
+namespace {
+
+void add_moment(RunningStats& seg, std::size_t, std::size_t, double value) {
+  seg.add(value);
+}
+
+/// Segment boundary of the moments fold: merge the segment into out[n].
+struct MergeSegments {
+  RunningStats* out;
+  void column(std::size_t, std::size_t, std::size_t) const {}
+  void segment(std::size_t n, const RunningStats& seg) const {
+    out[n].merge(seg);
+  }
+};
+
+}  // namespace
 
 void fold_object_moments(const data::ShardedMatrix& m, ThreadPool* pool,
                          std::span<RunningStats> out) {
   DPTD_REQUIRE(out.size() == m.num_objects(),
                "fold_object_moments: output size != num objects");
-  const std::size_t block_size = m.plan().block_size;
-  for (std::size_t s = 0; s < m.num_shards(); ++s) {
-    const data::ObservationMatrix& shard = m.shard(s);
-    const std::size_t base = m.user_base(s);
-    shard.ensure_object_index();
-    for_each_range(pool, m.num_objects(), [&](std::size_t begin,
-                                              std::size_t end) {
-      for (std::size_t n = begin; n < end; ++n) {
-        const auto col = shard.object_entries(n);
-        if (col.empty()) continue;
-        RunningStats acc = out[n];
-        RunningStats seg;
-        std::size_t block = (base + col.users[0]) / block_size;
-        std::size_t block_end = (block + 1) * block_size - base;
-        for (std::size_t i = 0; i < col.size(); ++i) {
-          const std::size_t user = col.users[i];  // shard-local id
-          if (user >= block_end) {
-            acc.merge(seg);
-            seg = RunningStats();
-            block = (base + user) / block_size;
-            block_end = (block + 1) * block_size - base;
-          }
-          seg.add(col.values[i]);
-        }
-        acc.merge(seg);
-        out[n] = acc;
-      }
-    });
-  }
+  detail::fold_block_segments<RunningStats>(m, pool, add_moment,
+                                            MergeSegments{out.data()});
+}
+
+void fold_object_moments_partials(const data::ShardedMatrix& m,
+                                  MomentPartials& out) {
+  detail::record_block_segments(m, add_moment, out);
+}
+
+void apply_object_moments(const MomentPartials& partials,
+                          std::span<RunningStats> out) {
+  DPTD_REQUIRE(out.size() == partials.num_objects,
+               "apply_object_moments: output size != num objects");
+  detail::replay_block_segments(partials, MergeSegments{out.data()});
 }
 
 GatheredColumns gather_object_values(const data::ShardedMatrix& m,
@@ -75,17 +79,41 @@ GatheredColumns gather_object_values(const data::ShardedMatrix& m,
   return out;
 }
 
-double block_chain_sum(std::span<const double> per_user,
-                       std::size_t block_size, double init) {
+namespace {
+
+/// The one block-sum loop: `segment(sum)` per block of `block_size` users,
+/// in ascending order, each sum flat in user order.
+template <typename Segment>
+void for_each_block_sum(std::span<const double> per_user,
+                        std::size_t block_size, const Segment& segment) {
   DPTD_REQUIRE(block_size > 0, "block_chain_sum: block_size must be positive");
-  double acc = init;
   for (std::size_t begin = 0; begin < per_user.size(); begin += block_size) {
     const std::size_t end = std::min(begin + block_size, per_user.size());
     double seg = 0.0;
     for (std::size_t i = begin; i < end; ++i) seg += per_user[i];
-    acc += seg;
+    segment(seg);
   }
+}
+
+}  // namespace
+
+double block_chain_sum(std::span<const double> per_user,
+                       std::size_t block_size, double init) {
+  double acc = init;
+  for_each_block_sum(per_user, block_size, [&](double seg) { acc += seg; });
   return acc;
+}
+
+void block_sums(std::span<const double> per_user, std::size_t block_size,
+                std::vector<double>& out) {
+  out.clear();
+  for_each_block_sum(per_user, block_size,
+                     [&](double seg) { out.push_back(seg); });
+}
+
+double chain_block_sums(std::span<const double> sums, double init) {
+  for (double seg : sums) init += seg;
+  return init;
 }
 
 }  // namespace dptd::truth

@@ -1,7 +1,7 @@
 // Categorical rounds over the distributed coordinator: a K-node fleet
 // ingesting kLabelReport uploads and closing majority/weighted-vote rounds
-// through the chained categorical folds (kVotePrepare/kVoteScores/
-// kVoteDisagree/kVoteWeights) publishes results bitwise identical to the
+// through the categorical folds (kVotePrepare/kVoteScores/kVoteDisagree/
+// kVoteWeights) publishes results bitwise identical to the
 // in-process truth::MajorityVote / truth::WeightedVote::run_sharded at the
 // same K — cold and warm-started — and applies the same ingest mechanisms:
 // out-of-alphabet labels counted and dropped, wrong-kind uploads rejected.
@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "data/sharding.h"
 #include "dist/coordinator.h"
 #include "dist/shard_node.h"
+#include "dist/tap_transport.h"
 #include "net/network.h"
 #include "truth/interface.h"
 
@@ -79,9 +81,12 @@ void expect_bitwise_equal(const truth::Result& a, const truth::Result& b,
   EXPECT_EQ(a.converged, b.converged) << label;
 }
 
+/// The coordinator and shards talk through `wire`, a tap over `network`
+/// (pass-through unless a test sets wire.on_send).
 struct Fleet {
   net::Simulator sim;
   net::Network network{sim, net::LatencyModel{0.01, 0.0, 0.0}, 7};
+  TapTransport wire{network};
   std::vector<std::unique_ptr<ShardNode>> shards;
   std::unique_ptr<Coordinator> coordinator;
 
@@ -92,9 +97,9 @@ struct Fleet {
     config.num_objects = num_objects;
     config.block_size = kTestBlock;
     config.warm_start = warm_start;
-    coordinator = std::make_unique<Coordinator>(config, spec, network);
+    coordinator = std::make_unique<Coordinator>(config, spec, wire);
     for (std::size_t i = 0; i < num_shards; ++i) {
-      shards.push_back(std::make_unique<ShardNode>(kShardBase + i, network));
+      shards.push_back(std::make_unique<ShardNode>(kShardBase + i, wire));
       coordinator->add_shard(kShardBase + i);
     }
   }
@@ -278,6 +283,46 @@ TEST(CategoricalDistributed, WrongKindUploadsAreRejectedBothWays) {
     crh_rejected += stats.rejected_reports;
   }
   EXPECT_EQ(crh_rejected, 1u);
+}
+
+// Only the continuous collectives split into a parallel step and an apply
+// chain; the vote score table still threads through the shards as one
+// chain. So a K=4 weighted-vote round's kVoteScores frames — every request
+// carrying the op, plain or batched, and its response — and their payload
+// bytes stay pinned at the one-step wire's values.
+TEST(CategoricalDistributed, VoteScoreChainFramesAndBytesArePinned) {
+  const categorical::LabelDataset dataset = label_dataset(61, 64, 12);
+  Fleet fleet(4, spec_for("vote"), dataset.claims.num_objects());
+  std::set<std::uint64_t> score_ops;
+  std::size_t frames = 0;
+  std::size_t bytes = 0;
+  fleet.wire.on_send = [&](const net::Message& message) {
+    const auto env = stats_envelope(message);
+    if (!env.has_value()) return;
+    if (message.type ==
+        static_cast<std::uint32_t>(crowd::MessageType::kShardRequest)) {
+      if (!request_carries(*env, ShardOp::kVoteScores)) return;
+      score_ops.insert(env->op_id);
+    } else if (!score_ops.contains(env->op_id)) {
+      return;
+    }
+    ++frames;
+    bytes += message.payload.size();
+  };
+  ASSERT_TRUE(fleet.coordinator->begin_round(
+      1, participant_ids(dataset.claims.num_users())));
+  send_label_dataset(fleet, dataset, 1);
+  const DistributedOutcome outcome = fleet.coordinator->close_round();
+  ASSERT_TRUE(outcome.aggregated);
+  EXPECT_EQ(outcome.resends, 0u);
+  // Measured on the one-step wire: the initial score chain plus one per
+  // iteration (2 frames per shard each), and the whole iterate phase at its
+  // 4 frames per shard per iteration (the disagreement total keeps its one
+  // frame pair).
+  ASSERT_EQ(outcome.result.iterations, 2u);
+  EXPECT_EQ(frames, 24u);
+  EXPECT_EQ(bytes, 11880u);
+  EXPECT_EQ(outcome.iteration_messages, 32u);
 }
 
 INSTANTIATE_TEST_SUITE_P(CategoricalMethods, CategoricalDistributed,

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "data/synthetic.h"
 #include "dist/coordinator.h"
 #include "dist/shard_node.h"
+#include "dist/tap_transport.h"
 #include "truth/interface.h"
 #include "net/network.h"
 
@@ -75,9 +77,12 @@ void expect_bitwise_equal(const truth::Result& a, const truth::Result& b,
   EXPECT_EQ(a.converged, b.converged) << label;
 }
 
+/// The coordinator and shards talk through `wire`, a tap over `network`
+/// (pass-through unless a test sets wire.on_send).
 struct Fleet {
   net::Simulator sim;
   net::Network network;
+  TapTransport wire{network};
   std::vector<std::unique_ptr<ShardNode>> shards;
   std::unique_ptr<Coordinator> coordinator;
 
@@ -90,9 +95,9 @@ struct Fleet {
     config.num_objects = num_objects;
     config.block_size = kTestBlock;
     config.warm_start = warm_start;
-    coordinator = std::make_unique<Coordinator>(config, spec, network);
+    coordinator = std::make_unique<Coordinator>(config, spec, wire);
     for (std::size_t i = 0; i < num_shards; ++i) {
-      shards.push_back(std::make_unique<ShardNode>(kShardBase + i, network));
+      shards.push_back(std::make_unique<ShardNode>(kShardBase + i, wire));
       coordinator->add_shard(kShardBase + i);
     }
   }
@@ -220,8 +225,12 @@ data::ObservationMatrix submatrix_of_ranges(
 
 // The failed shard is excluded mid-round and the close re-runs over the
 // survivors, for every method: each collective walks only the live shards, so
-// no method aborts where another closes degraded.
-void expect_dead_shard_closes_degraded(const std::string& name) {
+// no method aborts where another closes degraded. Shard 1 crashes before the
+// close starts, or — with `dies_before` set — the moment the coordinator
+// sends it the first request carrying that op, so its earlier replies (a
+// parallel step included) have already been absorbed.
+void expect_dead_shard_closes_degraded(
+    const std::string& name, std::optional<ShardOp> dies_before = {}) {
   const MethodSpec spec = spec_for(name);
   const data::Dataset dataset = random_dataset(13, 48, 4, 0.3);
   Fleet fleet(3, spec, dataset.num_objects());
@@ -235,8 +244,23 @@ void expect_dead_shard_closes_degraded(const std::string& name) {
     if (!dataset.observations.user_entries(s).empty()) ++expected_lost;
   }
 
-  fleet.shards[1]->fail();  // crash: state gone, never comes back
+  // Crash: state gone, never comes back.
+  bool crashed = false;
+  if (dies_before.has_value()) {
+    fleet.wire.on_send = [&](const net::Message& message) {
+      if (crashed || message.destination != kShardBase + 1) return;
+      const auto env = stats_envelope(message);
+      if (env.has_value() && request_carries(*env, *dies_before)) {
+        crashed = true;
+        fleet.shards[1]->fail();
+      }
+    };
+  } else {
+    fleet.shards[1]->fail();
+    crashed = true;
+  }
   const DistributedOutcome outcome = fleet.coordinator->close_round();
+  ASSERT_TRUE(crashed) << name;
 
   ASSERT_TRUE(outcome.completed) << name;
   ASSERT_TRUE(outcome.aggregated) << name;
@@ -288,6 +312,24 @@ TEST_P(DegradedClose, DeadShardClosesDegradedOverSurvivors) {
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, DegradedClose,
                          ::testing::Values("gtm", "catd", "mean", "median"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+// Mid-close death on the two-step wire: shard 1 has answered the parallel
+// step (its block partials are cached) and crashes before its apply hop. The
+// hop times out, the shard is excluded and the close re-runs over the
+// survivors — bitwise the in-process survivor reference.
+class DegradedCloseMidChain : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(DegradedCloseMidChain, ShardDeadBeforeItsApplyHopClosesDegraded) {
+  const std::string name = GetParam();
+  expect_dead_shard_closes_degraded(
+      name, name == "gtm" ? ShardOp::kGtmFold : ShardOp::kAggregate);
+}
+
+INSTANTIATE_TEST_SUITE_P(ContinuousChains, DegradedCloseMidChain,
+                         ::testing::Values("crh", "gtm"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
@@ -844,6 +886,85 @@ TEST(DistributedProtocol, DelayedDuplicateBatchReplaysMemoNeverReexecutes) {
       crowd::StatsEnvelope::decode(recorder.received.back().payload);
   EXPECT_EQ(reply.op_id, 5u);
   EXPECT_EQ(WeightsBody::decode(reply.body).weights, newer.weights);
+}
+
+// The apply hops of the two-step close fold only fresh partials: a hop with
+// no partial step before it, or after a weight update made the cached
+// partials stale, is refused as malformed (no reply) — never answered with a
+// fold of stale state. The apply itself leaves the cache as it was.
+TEST(DistributedProtocol, ApplyHopWithoutFreshPartialsIsRefused) {
+  Fleet fleet(1, crh_spec(), 2);
+  ShardNode& shard = *fleet.shards[0];
+  Recorder recorder;
+  const net::NodeId kRecorder = 7782;
+  fleet.network.attach(kRecorder, recorder);
+  stage_single_shard_round(fleet, kRecorder);
+  fleet.sim.run();
+  ASSERT_EQ(recorder.received.size(), 2u);  // setup, finalize
+
+  // The staged rows: user s claims 1+s on object 0 and 2+s on object 1.
+  data::ObservationMatrix staged(4, 2);
+  for (std::size_t s = 0; s < 4; ++s) {
+    staged.set(s, 0, 1.0 + static_cast<double>(s));
+    staged.set(s, 1, 2.0 + static_cast<double>(s));
+  }
+  const auto expected_fold = [&](const std::vector<double>& weights) {
+    AggregateBody acc;
+    acc.stats.reset(2);
+    truth::weighted_aggregate_fold(
+        data::ShardedMatrix::single(staged, kTestBlock), weights, acc.stats);
+    return acc.encode();
+  };
+  AggregateBody empty;
+  empty.stats.reset(2);
+  const std::vector<std::uint8_t> hop = empty.encode();
+  const auto last_reply = [&] {
+    return crowd::StatsEnvelope::decode(recorder.received.back().payload);
+  };
+
+  // No partial step yet: refused, no reply.
+  std::size_t malformed = shard.malformed_messages();
+  deliver_request(shard, kRecorder, 3, ShardOp::kAggregate, hop);
+  deliver_request(shard, kRecorder, 4, ShardOp::kMoments,
+                  encode_moments(std::vector<RunningStats>(2)));
+  fleet.sim.run();
+  EXPECT_EQ(shard.malformed_messages(), malformed + 2);
+  EXPECT_EQ(recorder.received.size(), 2u);
+
+  // Partials, then the hop: the fused fold's bits. A second hop over the
+  // same cache replies the same bytes.
+  deliver_request(shard, kRecorder, 5, ShardOp::kAggregatePartials, {});
+  deliver_request(shard, kRecorder, 6, ShardOp::kAggregate, hop);
+  fleet.sim.run();
+  ASSERT_EQ(recorder.received.size(), 4u);
+  EXPECT_EQ(last_reply().op_id, 6u);
+  EXPECT_EQ(last_reply().body, expected_fold({1.0, 1.0, 1.0, 1.0}));
+  deliver_request(shard, kRecorder, 7, ShardOp::kAggregate, hop);
+  fleet.sim.run();
+  ASSERT_EQ(recorder.received.size(), 5u);
+  EXPECT_EQ(last_reply().body, expected_fold({1.0, 1.0, 1.0, 1.0}));
+
+  // New weights make the cache stale: the hop is refused, not answered
+  // with the old weights' fold.
+  WeightsBody weights;
+  weights.uniform = false;
+  weights.weights = {2.0, 3.0, 4.0, 5.0};
+  deliver_request(shard, kRecorder, 8, ShardOp::kSetWeights, weights.encode());
+  fleet.sim.run();
+  ASSERT_EQ(recorder.received.size(), 6u);
+  malformed = shard.malformed_messages();
+  deliver_request(shard, kRecorder, 9, ShardOp::kAggregate, hop);
+  fleet.sim.run();
+  EXPECT_EQ(shard.malformed_messages(), malformed + 1);
+  ASSERT_EQ(recorder.received.size(), 6u);
+
+  // A fresh partial step serves the new weights.
+  deliver_request(shard, kRecorder, 10, ShardOp::kAggregatePartials, {});
+  deliver_request(shard, kRecorder, 11, ShardOp::kAggregate, hop);
+  fleet.sim.run();
+  ASSERT_EQ(recorder.received.size(), 8u);
+  EXPECT_EQ(last_reply().op_id, 11u);
+  EXPECT_EQ(last_reply().body, expected_fold(weights.weights));
 }
 
 TEST(DistributedProtocol, CloseRoundDrainsInFlightRoutedReports) {
